@@ -314,30 +314,13 @@ def _am_iteration(f: BiPoly):
     return s, roots
 
 
-def semigroup_of(f: BiPoly, numeric_check: bool = False) -> Semigroup:
+def semigroup_of(f: BiPoly) -> Semigroup:
     """Semigroup of the branch defined by a Weierstrass polynomial.
 
-    With numeric_check the result is cross checked against a floating point
-    Puiseux expansion: an irreducible germ of multiplicity n has exactly n
-    conjugate roots, all ramified with index exactly n.
+    The puiseux module's verify_cycle cross checks it against a floating
+    point expansion of the conjugate roots.
     """
     s, _ = _am_iteration(f)
-    if numeric_check:
-        from .puiseux import puiseux_expand
-
-        char = semigroup_to_char(s)
-        depth = Fraction(char.exponents[-1], char.multiplicity) + 1
-        series = puiseux_expand(f, depth=depth)
-        if len(series) != f.deg_y():
-            raise ValidationError(
-                f"numeric check failed: expected {f.deg_y()} Puiseux roots, got {len(series)}"
-            )
-        for ps in series:
-            if ps.ramification() != s.multiplicity:
-                raise ValidationError(
-                    "numeric check failed: a Puiseux root has ramification "
-                    f"{ps.ramification()}, expected {s.multiplicity}"
-                )
     return s
 
 

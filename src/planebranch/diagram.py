@@ -11,7 +11,7 @@ height is exactly the diagram of x^a, and symmetrically for y.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
+from math import gcd, inf, lcm
 
 from .errors import ValidationError
 from .poly import BiPoly
@@ -300,10 +300,7 @@ class NewtonDiagram:
     def render_ascii(self) -> str:
         verts = self.vertices()
         if any(v[0].denominator != 1 or v[1].denominator != 1 for v in verts):
-            scale = 1
-            for v in verts:
-                scale = scale * v[0].denominator // _gcd(scale, v[0].denominator)
-                scale = scale * v[1].denominator // _gcd(scale, v[1].denominator)
+            scale = lcm(*(c.denominator for v in verts for c in v))
             verts = tuple((v[0] * scale, v[1] * scale) for v in verts)
             note = f"(coordinates scaled by {scale})"
         else:
@@ -313,7 +310,7 @@ class NewtonDiagram:
         height = max(b for _, b in pts) + 1
         grid = [["." for _ in range(width)] for _ in range(height)]
         for (a0, b0), (a1, b1) in zip(pts, pts[1:]):
-            steps = _gcd(a1 - a0, b0 - b1)
+            steps = gcd(a1 - a0, b0 - b1)
             dx, dy = (a1 - a0) // steps, (b1 - b0) // steps
             for t in range(1, steps):
                 grid[b0 + dy * t][a0 + dx * t] = "+"
@@ -394,13 +391,6 @@ class NewtonDiagram:
         if fmt == "svg":
             return self.render_svg()
         raise ValidationError(f"unknown render format {fmt!r}")
-
-
-def _gcd(a, b):
-    a, b = abs(int(a)), abs(int(b))
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def diagram_from_support(points) -> NewtonDiagram:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .branch import Semigroup, approximate_root_semigroup, milnor_from_semigroup
+from .branch import Semigroup, approximate_root_semigroup
 from .diagram import ElementarySegment, NewtonDiagram
 from .errors import ValidationError
 
@@ -51,7 +51,7 @@ def jnd_formula(s: Semigroup, k: int) -> NewtonDiagram:
     n = s.n_factors
     g = s.genus
     m_bar = v[k + 1] // l[k + 1]
-    mu_k = milnor_from_semigroup(approximate_root_semigroup(s, k))
+    mu_k = approximate_root_semigroup(s, k).milnor()
     lead_height = mu_k + m_bar - 1
     segments = [ElementarySegment(l[k] * lead_height, lead_height)]
     cofactor = m_bar

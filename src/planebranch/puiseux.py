@@ -18,12 +18,11 @@ from math import comb, factorial, inf, lcm
 
 import mpmath
 import numpy as np
+from mpmath.libmp import NoConvergence
 
 from .branch import (
-    Semigroup,
     approximate_root_semigroup,
     characteristic_roots,
-    milnor_from_semigroup,
     semigroup_of,
     semigroup_to_char,
 )
@@ -87,11 +86,11 @@ class NumericContext:
         if self.bits <= 53:
             arr = np.array(list(reversed(coeffs)), dtype=np.complex128)
             return [complex(r) for r in np.roots(arr)]
-        return list(
-            mpmath.polyroots(
-                list(reversed(coeffs)), maxsteps=200, extraprec=self.bits
-            )
-        )
+        try:
+            roots = mpmath.polyroots(list(reversed(coeffs)), maxsteps=200, extraprec=self.bits)
+        except NoConvergence as exc:
+            raise _EscalationNeeded(f"root finder did not converge at {self.bits} bits") from exc
+        return list(roots)
 
     def __repr__(self):
         return f"NumericContext(bits={self.bits})"
@@ -276,24 +275,19 @@ def _edge_roots(ctx, coeffs):
 # ---------------------------------------------------------------------------
 
 
-class _Tail:
-    __slots__ = ("terms", "truncation")
-
-    def __init__(self, terms, truncation):
-        self.terms = terms
-        self.truncation = truncation
-
-
 def _poly_data(ctx, f: BiPoly):
     return {(Fraction(i), j): ctx.number(c) for (i, j), c in f.terms()}
 
 
 def _expand(ctx, F, depth):
-    """All Puiseux tails of F(x, y) = 0 with y -> 0, complete below depth."""
+    """All Puiseux tails of F(x, y) = 0 with y -> 0, complete below depth.
+
+    Each tail is a (terms, truncation) pair, as PuiseuxSeries takes them.
+    """
     out = []
     j_min = min(j for _, j in F)
     if j_min > 0:
-        out.extend(_Tail([], inf) for _ in range(j_min))
+        out.extend(([], inf) for _ in range(j_min))
         F = {(e, j - j_min): c for (e, j), c in F.items()}
     degree = max(j for _, j in F)
     if degree == 0:
@@ -308,7 +302,7 @@ def _expand(ctx, F, depth):
         q = (e1 - e2) / (j2 - j1)
         width = j2 - j1
         if q >= depth:
-            out.extend(_Tail([], depth) for _ in range(width))
+            out.extend(([], depth) for _ in range(width))
             continue
         phi = [0] * (width + 1)
         for (e, j), c in F.items():
@@ -321,10 +315,8 @@ def _expand(ctx, F, depth):
                 raise _EscalationNeeded(
                     f"root of multiplicity {mu} produced {len(tails)} continuations"
                 )
-            for t in tails:
-                terms = [(q, root)] + [(q + e, c) for e, c in t.terms]
-                trunc = inf if t.truncation == inf else q + t.truncation
-                out.append(_Tail(terms, trunc))
+            for terms, trunc in tails:
+                out.append(([(q, root)] + [(q + e, c) for e, c in terms], q + trunc))
     if len(out) != j_min + expected:
         raise _EscalationNeeded(
             f"expected {j_min + expected} local roots, assembled {len(out)}"
@@ -377,7 +369,7 @@ def _expand_bipoly(ctx, f: BiPoly, depth):
     if f1.deg_y() == 0:
         return []
     tails = _expand(ctx, _poly_data(ctx, f1), depth)
-    series = [PuiseuxSeries(t.terms, t.truncation, ctx) for t in tails]
+    series = [PuiseuxSeries(terms, trunc, ctx) for terms, trunc in tails]
     series.sort(key=_sort_key)
     return series
 
@@ -386,14 +378,16 @@ def puiseux_expand(f: BiPoly, depth, min_bits: int = 53):
     """Puiseux roots of f through the origin, complete below the given depth.
 
     Only branches through the origin are expanded: a factor x^a is ignored
-    and roots that stay away from y = 0 are dropped.  Escalates through the
-    precision ladder on any ambiguity; raises NumericError only when the
-    top tier fails.
+    and roots that stay away from y = 0 are dropped.  The first attempt runs
+    at the lowest tier of the precision ladder (53, 128, 256, 512 bits) that
+    is at least min_bits, or at 512 bits if min_bits is higher.  Escalates
+    through the rest of the ladder on any ambiguity; raises NumericError
+    only when the top tier fails.
     """
     depth = Fraction(depth)
     if depth <= 0:
         raise ValidationError(f"expansion depth must be positive, got {depth}")
-    return _with_escalation(lambda ctx: _expand_bipoly(ctx, f, depth))
+    return _with_escalation(lambda ctx: _expand_bipoly(ctx, f, depth), min_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +425,41 @@ def _pair_contact(ctx, a: PuiseuxSeries, b: PuiseuxSeries):
     return bound, False
 
 
+def _root_contacts_deepening(f: BiPoly, h: BiPoly, depth, settled):
+    """Deepen the expansions of f and h until settled(values) holds.
+
+    values has one (best contact, decided) pair per Newton-Puiseux root of
+    h: its highest order of coincidence with a root of f, and whether that
+    order is exact rather than a lower bound.  Tries the given depth, or
+    4, 8, 16, 32 and 64 in turn.  Returns the first settled values; raises
+    ContactUndecidableError with the largest undecided bound otherwise.
+    """
+    if f.is_zero() or h.is_zero():
+        raise ValidationError("contact of the zero polynomial is undefined")
+
+    def worker(ctx, d):
+        sf = _expand_bipoly(ctx, f, d)
+        sh = _expand_bipoly(ctx, h, d)
+        if not sf or not sh:
+            raise ValidationError("contact needs curves through the origin")
+        values = []
+        for b in sh:
+            pairs = [_pair_contact(ctx, a, b) for a in sf]
+            values.append((max(v for v, _ in pairs), all(decided for _, decided in pairs)))
+        return values
+
+    depths = [depth] if depth is not None else (4, 8, 16, 32, 64)
+    bound = Fraction(0)
+    for d in depths:
+        values = _with_escalation(lambda ctx: worker(ctx, Fraction(d)))
+        if settled(values):
+            return values
+        # an undecided value is the expansion depth, and every decided
+        # contact lies below it, so this is also the largest value seen
+        bound = max(bound, max(v for v, decided in values if not decided))
+    raise ContactUndecidableError(bound)
+
+
 def contact(f: BiPoly, h: BiPoly, partial: bool = False, depth=None):
     """Contact order of two germs: the largest order of coincidence between
     a Puiseux root of f and one of h.
@@ -440,40 +469,19 @@ def contact(f: BiPoly, h: BiPoly, partial: bool = False, depth=None):
     returns the best lower bound if partial is set and raises
     ContactUndecidableError otherwise.
     """
-    if f.is_zero() or h.is_zero():
-        raise ValidationError("contact of the zero polynomial is undefined")
-    if f == h:
+    if f == h and not f.is_zero():
         return inf
-    depths = [Fraction(depth)] if depth is not None else [Fraction(d) for d in (4, 8, 16, 32, 64)]
-    bound = Fraction(0)
-    for d in depths:
-        def worker(ctx, d=d):
-            sf = _expand_bipoly(ctx, f, d)
-            sh = _expand_bipoly(ctx, h, d)
-            if not sf or not sh:
-                raise ValidationError("contact needs curves through the origin")
-            best = None
-            decided_all = True
-            for a in sf:
-                for b in sh:
-                    v, decided = _pair_contact(ctx, a, b)
-                    if v == inf:
-                        return inf, True
-                    if not decided:
-                        decided_all = False
-                    if best is None or v > best:
-                        best = v
-            return best, decided_all
 
-        value, decided = _with_escalation(worker)
-        if value == inf:
-            return inf
-        if decided:
-            return value
-        bound = max(bound, value)
-    if partial:
-        return bound
-    raise ContactUndecidableError(bound)
+    def settled(values):
+        return any(v == inf for v, _ in values) or all(decided for _, decided in values)
+
+    try:
+        values = _root_contacts_deepening(f, h, depth, settled)
+    except ContactUndecidableError as exc:
+        if partial:
+            return exc.bound
+        raise
+    return max(v for v, _ in values)
 
 
 def root_contacts(f: BiPoly, h: BiPoly, depth=None):
@@ -484,34 +492,10 @@ def root_contacts(f: BiPoly, h: BiPoly, depth=None):
     like contact(); raises ContactUndecidableError when the deepest
     expansion still leaves some root undecided.
     """
-    if f.is_zero() or h.is_zero():
-        raise ValidationError("contact of the zero polynomial is undefined")
-    depths = [Fraction(depth)] if depth is not None else [Fraction(d) for d in (4, 8, 16, 32, 64)]
-    best_bound = Fraction(0)
-    for d in depths:
-        def worker(ctx, d=d):
-            sf = _expand_bipoly(ctx, f, d)
-            sh = _expand_bipoly(ctx, h, d)
-            if not sf or not sh:
-                raise ValidationError("contact needs curves through the origin")
-            values = []
-            for b in sh:
-                best = None
-                all_decided = True
-                for a in sf:
-                    v, decided = _pair_contact(ctx, a, b)
-                    if not decided:
-                        all_decided = False
-                    if best is None or v > best:
-                        best = v
-                values.append((best, all_decided))
-            return values
-
-        values = _with_escalation(worker)
-        if all(decided or v == inf for v, decided in values):
-            return sorted((v for v, _ in values), reverse=True)
-        best_bound = max(best_bound, max(v for v, decided in values if not decided))
-    raise ContactUndecidableError(best_bound)
+    values = _root_contacts_deepening(
+        f, h, depth, lambda values: all(decided or v == inf for v, decided in values)
+    )
+    return sorted((v for v, _ in values), reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -570,32 +554,94 @@ def _int_or_escalate(value: Fraction, what: str) -> int:
     return int(value)
 
 
-class _ClassAnalysis:
-    """Everything the verifier needs about one jacobian pair (f_k, f)."""
+def _local_root_count(j1: BiPoly) -> int:
+    """Number of Puiseux roots of j1 through the origin, zero series included."""
+    at_zero = [j for (i, j) in j1.support() if i == 0]
+    if not at_zero:
+        raise ValidationError("polynomial vanishes on x = 0 after content removal")
+    return min(at_zero)
 
-    def __init__(self, f, k, s, char, fk, fk_given):
-        self.f = f
-        self.k = k
-        self.s = s
-        self.char = char
-        self.fk = fk
-        self.fk_given = fk_given
-        self.jac = jacobian_det(fk, f)
-        if self.jac.is_zero():
+
+class _Decomposition:
+    """Merle's polar decomposition of one branch, for each requested index k.
+
+    contact_classes, jnd_oracle and verify_decomposition all read from it.
+    The exact set-up runs once: the semigroup of f, its characteristic
+    roots (skipped when fk is supplied), the genus, index and fk checks,
+    and one jacobian determinant per k.  The numeric work is one worker
+    under _with_escalation: it expands f once at the depth b_g/b_0 + 1 that
+    every k shares, classifies the jacobian roots of each k against those
+    roots, and then measures the contacts of each root of f with its
+    conjugates once.  An escalation at any k therefore reruns every k at
+    the next tier.
+
+    indices lists the k to decompose, None meaning 0..g-1.  Per k,
+    roots[k] is the curve of maximal contact, jacobians[k] the
+    jacobian of (roots[k], f), classes[k] its contact classes and
+    jac_counts[k], for each root of f, the number of jacobian roots with
+    contact at least b_(k+1)/b_0 with it.  self_contacts holds, for each
+    root of f, its contacts with the other conjugates.
+    """
+
+    def __init__(self, f: BiPoly, indices=None, fk: BiPoly | None = None):
+        s = semigroup_of(f)
+        if s.genus == 0:
+            raise ValidationError("a smooth branch has no jacobian decomposition")
+        if indices is None:
+            indices = range(s.genus)
+        for k in indices:
+            if not isinstance(k, int) or not 0 <= k <= s.genus - 1:
+                raise ValidationError(f"diagram index must lie in 0..{s.genus - 1}, got {k!r}")
+        self.fk_given = fk is not None
+        if self.fk_given:
+            if not fk.is_monic_in_y() or not fk.is_weierstrass():
+                raise ValidationError("the supplied root must be a Weierstrass polynomial")
+            for k in indices:
+                if fk.deg_y() != s.multiplicity // s.gcds[k]:
+                    raise ValidationError(
+                        f"the supplied root has y-degree {fk.deg_y()}, index {k} "
+                        f"requires {s.multiplicity // s.gcds[k]}"
+                    )
+            self.roots = dict.fromkeys(indices, fk)
+        else:
+            char_roots = characteristic_roots(f)
+            self.roots = {k: char_roots[k] for k in indices}
+        self.jacobians = {k: jacobian_det(fk_k, f) for k, fk_k in self.roots.items()}
+        if any(jac.is_zero() for jac in self.jacobians.values()):
             raise ValidationError("the jacobian determinant vanishes identically")
-        self.depth = Fraction(char.exponents[-1], char.multiplicity) + 1
+        self.f = f
+        self.s = s
+        self.exponents = semigroup_to_char(s).exponents
+        self.depth = Fraction(self.exponents[-1], self.exponents[0]) + 1
+        self.classes, self.jac_counts, self.self_contacts = _with_escalation(self._measure)
 
-    def run(self, ctx):
-        f, k, s, char = self.f, self.k, self.s, self.char
-        b = char.exponents
-        b0 = b[0]
-        g = s.genus
-        alpha, j1 = self.jac.x_content()
-        sigma = _expand_bipoly(ctx, f, self.depth)
-        sigma_k = _expand_bipoly(ctx, self.fk, self.depth)
-        gamma = _expand_bipoly(ctx, j1, self.depth)
+    def _measure(self, ctx):
+        b0 = self.exponents[0]
+        sigma = _expand_bipoly(ctx, self.f, self.depth)
         if len(sigma) != b0:
             raise _EscalationNeeded(f"expected {b0} roots of f, got {len(sigma)}")
+        classes, jac_counts = {}, {}
+        for k in self.roots:
+            classes[k], jac_counts[k] = self._classify(ctx, sigma, k)
+        self_contacts = [
+            [
+                _decided_contact(ctx, sa, sb, "conjugate roots of f")
+                for b_idx, sb in enumerate(sigma)
+                if b_idx != a_idx
+            ]
+            for a_idx, sa in enumerate(sigma)
+        ]
+        return classes, jac_counts, self_contacts
+
+    def _classify(self, ctx, sigma, k):
+        """Contact classes of the jacobian roots of index k, and their counts
+        at contact b_(k+1)/b_0 or more with each root of f."""
+        s, b = self.s, self.exponents
+        b0 = b[0]
+        g = s.genus
+        alpha, j1 = self.jacobians[k].x_content()
+        sigma_k = _expand_bipoly(ctx, self.roots[k], self.depth)
+        gamma = _expand_bipoly(ctx, j1, self.depth)
         if len(sigma_k) != b0 // s.gcds[k]:
             raise _EscalationNeeded(
                 f"expected {b0 // s.gcds[k]} roots of the approximate root"
@@ -605,16 +651,17 @@ class _ClassAnalysis:
             raise _EscalationNeeded(
                 f"expected {expected_local} local jacobian roots, got {len(gamma)}"
             )
+        threshold = Fraction(b[k + 1], b0)
         if self.fk_given:
             best = max(
                 _decided_contact(ctx, sp, so, "validating the supplied root")
                 for sp in sigma_k
                 for so in sigma
             )
-            if best != Fraction(b[k + 1], b0):
+            if best != threshold:
                 raise ValidationError(
                     f"supplied polynomial has contact {best} with the branch, "
-                    f"expected {Fraction(b[k + 1], b0)}; it is not a curve of "
+                    f"expected {threshold}; it is not a curve of "
                     f"maximal contact of index {k}"
                 )
         o_f = [
@@ -626,7 +673,6 @@ class _ClassAnalysis:
              for sp in sigma_k]
             for gm in gamma
         ]
-        threshold = Fraction(b[k + 1], b0)
         char_levels = {Fraction(b[i], b0): i for i in range(k + 2, g + 1)}
         residual_members = []
         deep_members = {i: [] for i in range(k + 2, g + 1)}
@@ -672,67 +718,16 @@ class _ClassAnalysis:
                     _int_or_escalate(fk_sum, f"class height at contact {b[i]}/{b0}"),
                 )
             )
-        # conjugate contact profile of f against itself, for the verifier
-        self_counts = []
-        for a_idx, sa in enumerate(sigma):
-            row = [
-                _decided_contact(ctx, sa, sb, "conjugate roots of f")
-                for b_idx, sb in enumerate(sigma)
-                if b_idx != a_idx
-            ]
-            self_counts.append(row)
         jac_counts = [
             sum(1 for idx in range(len(gamma)) if o_f[idx][s_idx] >= threshold)
             for s_idx in range(len(sigma))
         ]
-        return _ClassRun(classes, self_counts, jac_counts, alpha, len(gamma))
-
-
-class _ClassRun:
-    __slots__ = ("classes", "self_contacts", "jac_counts", "x_power", "root_count")
-
-    def __init__(self, classes, self_contacts, jac_counts, x_power, root_count):
-        self.classes = classes
-        self.self_contacts = self_contacts
-        self.jac_counts = jac_counts
-        self.x_power = x_power
-        self.root_count = root_count
-
-
-def _local_root_count(j1: BiPoly) -> int:
-    """Number of Puiseux roots of j1 through the origin, zero series included."""
-    at_zero = [j for (i, j) in j1.support() if i == 0]
-    if not at_zero:
-        raise ValidationError("polynomial vanishes on x = 0 after content removal")
-    return min(at_zero)
-
-
-def _prepare(f: BiPoly, k: int, fk):
-    s = semigroup_of(f)
-    if s.genus == 0:
-        raise ValidationError("a smooth branch has no jacobian decomposition")
-    if not isinstance(k, int) or not 0 <= k <= s.genus - 1:
-        raise ValidationError(f"diagram index must lie in 0..{s.genus - 1}, got {k!r}")
-    char = semigroup_to_char(s)
-    fk_given = fk is not None
-    if fk_given:
-        if not fk.is_monic_in_y() or not fk.is_weierstrass():
-            raise ValidationError("the supplied root must be a Weierstrass polynomial")
-        if fk.deg_y() != s.multiplicity // s.gcds[k]:
-            raise ValidationError(
-                f"the supplied root has y-degree {fk.deg_y()}, index {k} "
-                f"requires {s.multiplicity // s.gcds[k]}"
-            )
-    else:
-        fk = characteristic_roots(f)[k]
-    return _ClassAnalysis(f, k, s, char, fk, fk_given)
+        return classes, jac_counts
 
 
 def contact_classes(f: BiPoly, k: int, fk: BiPoly | None = None):
     """Decompose the jacobian of (k-th root, f) by contact with the branch."""
-    analysis = _prepare(f, k, fk)
-    run = _with_escalation(analysis.run)
-    return run.classes
+    return _Decomposition(f, [k], fk).classes[k]
 
 
 def _oracle_diagram(classes) -> NewtonDiagram:
@@ -808,12 +803,9 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
     sizes, both diagram totals, and optionally the exact resultant totals.
     Returns the full report; raises VerificationError on any failure.
     """
-    s = semigroup_of(f)
-    if s.genus == 0:
-        raise ValidationError("a smooth branch has no jacobian decomposition")
-    indices = range(s.genus) if k is None else [k]
-    char = semigroup_to_char(s)
-    b = char.exponents
+    dec = _Decomposition(f, None if k is None else [k], fk)
+    s = dec.s
+    b = dec.exponents
     b0 = b[0]
     g = s.genus
     l = s.gcds
@@ -823,12 +815,10 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
     def check(name, ok, detail=""):
         report.append((name, bool(ok), detail))
 
-    for kk in indices:
-        analysis = _prepare(f, kk, fk)
-        run = _with_escalation(analysis.run)
+    for kk, classes in dec.classes.items():
         tag = f"k={kk}"
         predicted = jnd_formula(s, kk)
-        measured = _oracle_diagram(run.classes)
+        measured = _oracle_diagram(classes)
         check(f"{tag}: oracle diagram matches formula", measured == predicted,
               f"{measured} vs {predicted}")
 
@@ -844,7 +834,7 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
             if j < g:
                 samples.append((Fraction(b[j + 1], b0), l[j] - 1))
         for tau, expected in samples:
-            for row in run.self_contacts:
+            for row in dec.self_contacts:
                 got = sum(1 for v in row if v >= tau)
                 if got != expected:
                     profile_ok = False
@@ -857,13 +847,13 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
         expected_jac = n[kk] * (l[kk + 1] - 1)
         check(
             f"{tag}: jacobian roots at deep contact",
-            all(c == expected_jac for c in run.jac_counts),
-            f"{sorted(set(run.jac_counts))} vs {expected_jac}",
+            all(c == expected_jac for c in dec.jac_counts[kk]),
+            f"{sorted(set(dec.jac_counts[kk]))} vs {expected_jac}",
         )
 
         sizes_ok = True
         detail = ""
-        for cls in run.classes[1:]:
+        for cls in classes[1:]:
             i = b.index(cls.contact * b0)
             expected_size = (b0 // l[i - 1]) * (n[i - 1] - 1)
             if cls.x_intersection != expected_size:
@@ -876,14 +866,14 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
         check(f"{tag}: class sizes", sizes_ok, detail)
 
         zeros_deep = any(
-            any(r.is_exact_zero() for r in cls.roots) for cls in run.classes[1:]
+            any(r.is_exact_zero() for r in cls.roots) for cls in classes[1:]
         )
         check(f"{tag}: x factor and zero roots stay residual", not zeros_deep)
 
-        mu_k = milnor_from_semigroup(approximate_root_semigroup(s, kk))
+        mu_k = approximate_root_semigroup(s, kk).milnor()
         v_next = s.generators[kk + 1]
-        height_total = sum(cls.fk_intersection for cls in run.classes)
-        length_total = sum(cls.f_intersection for cls in run.classes)
+        height_total = sum(cls.fk_intersection for cls in classes)
+        length_total = sum(cls.f_intersection for cls in classes)
         check(
             f"{tag}: height total is mu_k + v_(k+1) - 1",
             height_total == mu_k + v_next - 1,
@@ -896,8 +886,8 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
         )
 
         if exact_totals:
-            exact_len = intersection_multiplicity(analysis.jac, f)
-            exact_ht = intersection_multiplicity(analysis.jac, analysis.fk)
+            exact_len = intersection_multiplicity(dec.jacobians[kk], f)
+            exact_ht = intersection_multiplicity(dec.jacobians[kk], dec.roots[kk])
             check(f"{tag}: resultant length total", exact_len == length_total,
                   f"{exact_len} vs {length_total}")
             check(f"{tag}: resultant height total", exact_ht == height_total,

@@ -124,10 +124,6 @@ def test_semigroup_of_frozen():
     assert semigroup_of(y()) == Semigroup((1,))
 
 
-def test_semigroup_of_numeric_check():
-    assert semigroup_of(F2, numeric_check=True) == Semigroup((4, 6, 13))
-
-
 def test_semigroup_of_rejects_reducible():
     with pytest.raises(ValidationError):
         semigroup_of(y(4) - 3 * x(3) * y(2) + 2 * x(6))  # (y^2-x^3)(y^2-2x^3)

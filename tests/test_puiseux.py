@@ -9,6 +9,7 @@ from planebranch import (
     ContactUndecidableError,
     ElementarySegment,
     NewtonDiagram,
+    NumericError,
     ValidationError,
     contact,
     contact_classes,
@@ -60,6 +61,31 @@ def test_fourfold_edge_root_is_resolved():
         assert s.ramification() == 4
         assert s.order() == 1
         assert s.support()[:2] == (Fraction(1), Fraction(7, 4))
+
+
+def _shape(series):
+    return len(series), [s.support() for s in series]
+
+
+@pytest.mark.parametrize(
+    "f, depth, bits",
+    [(CUSP, 4, bits) for bits in (128, 256, 512)]
+    + [(parse_poly("y^3-x^7"), 4, bits) for bits in (128, 256, 512)]
+    + [(BRANCH_4_6_13, Fraction(17, 4), bits) for bits in (128, 256)]
+    + [
+        pytest.param(
+            BRANCH_4_6_13, Fraction(17, 4), 512,
+            # the edge polynomial (z^2 - 1)^2 has double roots, on which
+            # mpmath's root finder does not converge; a square-free split
+            # of exact edge polynomials is the fix
+            marks=pytest.mark.xfail(strict=True, raises=NumericError),
+        )
+    ],
+)
+def test_expansion_starts_at_min_bits(f, depth, bits):
+    series = puiseux_expand(f, depth, min_bits=bits)
+    assert {s.context.bits for s in series} == {bits}
+    assert _shape(series) == _shape(puiseux_expand(f, depth))
 
 
 def test_truncated_series_format():
