@@ -293,10 +293,12 @@ def _am_iteration(f: BiPoly):
             raise ValidationError(
                 "not an irreducible branch: f shares a component with an approximate root"
             )
-        if len(gens) == 1 and b <= n:
+        # a branch's second generator is never a multiple of n, so b == n
+        # is a reducible curve, which the gcd check below reports
+        if len(gens) == 1 and b < n:
             raise ValidationError(
-                "branch is tangent to y = 0 in these coordinates (second generator "
-                f"{b} <= multiplicity {n}); swap x and y and retry"
+                "branch is tangent to x = 0 in these coordinates (second generator "
+                f"{b} < multiplicity {n}); swap x and y and retry"
             )
         new_l = gcd(l, b)
         if new_l == l:

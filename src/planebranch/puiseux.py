@@ -5,16 +5,17 @@ actual Puiseux roots: series are expanded at machine precision first, and
 every decision that could be corrupted by rounding (coefficient equality,
 root multiplicity, class membership) either passes a consistency test or
 triggers a retry of the whole computation at a higher precision tier.
-Exactness re-enters through the exponents, which are always Fractions, so
-contact orders and intersection numbers read off the series are exact the
-moment the coefficient decisions are trusted.
+Exactness re-enters through the exponents, which are always exact
+(integers over a common denominator inside the expander, Fractions in the
+series), so contact orders and intersection numbers read off the series are
+exact the moment the coefficient decisions are trusted.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from fractions import Fraction
-from math import comb, factorial, inf, lcm
+from math import ceil, comb, factorial, inf, lcm
 
 import mpmath
 import numpy as np
@@ -276,18 +277,37 @@ def _edge_roots(ctx, coeffs):
 
 
 def _poly_data(ctx, f: BiPoly):
-    return {(Fraction(i), j): ctx.number(c) for (i, j), c in f.terms()}
+    return {(i, j): ctx.number(c) for (i, j), c in f.terms()}
 
 
-def _expand(ctx, F, depth):
+def _expand(ctx, F, den, depth, truncated=False):
     """All Puiseux tails of F(x, y) = 0 with y -> 0, complete below depth.
 
-    Each tail is a (terms, truncation) pair, as PuiseuxSeries takes them.
+    F maps (E, j) to the coefficient of x^(E/den) y^j, with E and den
+    integers.  Each tail is a (terms, truncation) pair, as PuiseuxSeries
+    takes them.
+
+    Terms that cannot matter are dropped.  Let m be the j of the hull's
+    bottom-right vertex (the one at e = 0), the number of roots expected.
+    Once the hull is built, every term with e >= depth*m, that is with
+    E >= depth*m*den, goes.  Such a term lies strictly above every
+    supporting line of slope s < depth, because
+    e + s*j >= depth*m > s*m >= h_s, so it is on no edge the expansion
+    uses and in no edge polynomial.  Substituting y = x^q (c + y) for
+    q < depth and dividing by x^(h_q), where h_q <= q*m, sends it to
+    exponents e' >= (depth - q)*m + q*j >= (depth - q)*mu, with mu <= m
+    the multiplicity of c, which is the next level's root count.  So its
+    images are terms the next level drops too, and by induction no dropped
+    term ever reaches an edge or an edge polynomial.  The hull is built
+    before the drop, so the count of steep tails (q >= depth) is the same
+    as without it.  A dropped term may have been all that kept y from
+    dividing a later F; once anything was dropped (truncated), a zero root
+    is therefore known only below depth, not exactly.
     """
     out = []
     j_min = min(j for _, j in F)
     if j_min > 0:
-        out.extend(([], inf) for _ in range(j_min))
+        out.extend(([], depth if truncated else inf) for _ in range(j_min))
         F = {(e, j - j_min): c for (e, j), c in F.items()}
     degree = max(j for _, j in F)
     if degree == 0:
@@ -298,19 +318,25 @@ def _expand(ctx, F, depth):
             level[j] = e
     hull = lower_hull(sorted(level.items()))
     expected = hull[-1][0]
+    limit = ceil(depth * expected * den)
+    kept = {key: c for key, c in F.items() if key[0] < limit}
+    truncated = truncated or len(kept) < len(F)
+    F = kept
     for (j1, e1), (j2, e2) in zip(hull, hull[1:]):
-        q = (e1 - e2) / (j2 - j1)
         width = j2 - j1
+        q = Fraction(e1 - e2, width * den)
         if q >= depth:
             out.extend(([], depth) for _ in range(width))
             continue
         phi = [0] * (width + 1)
         for (e, j), c in F.items():
-            if j1 <= j <= j2 and e == e1 - q * (j - j1):
+            if j1 <= j <= j2 and (e - e1) * width == (e2 - e1) * (j - j1):
                 phi[j - j1] = c
+        sub_den = lcm(den, q.denominator)
+        scale, slope = sub_den // den, q.numerator * (sub_den // q.denominator)
         for root, mu in _edge_roots(ctx, phi):
-            sub = _substitute(ctx, F, q, root)
-            tails = _expand(ctx, sub, depth - q)
+            sub = _substitute(ctx, F, scale, slope, root)
+            tails = _expand(ctx, sub, sub_den, depth - q, truncated)
             if len(tails) != mu:
                 raise _EscalationNeeded(
                     f"root of multiplicity {mu} produced {len(tails)} continuations"
@@ -324,12 +350,16 @@ def _expand(ctx, F, depth):
     return out
 
 
-def _substitute(ctx, F, q, c):
-    """F(x, x^q (c + y)) divided by its lowest power of x, chopped."""
+def _substitute(ctx, F, scale, slope, c):
+    """F(x, x^q (c + y)) divided by its lowest power of x, chopped.
+
+    Exponents move to the finer denominator den' = scale*den, in which
+    q = slope/den': x^(E/den) y^j becomes x^((scale*E + slope*j)/den') (c + y)^j.
+    """
     sums = {}
     peaks = {}
     for (e, j), a in F.items():
-        base = e + q * j
+        base = scale * e + slope * j
         cm = 1
         for t in range(j, -1, -1):
             # cm = c^(j-t), built up while t descends
@@ -350,8 +380,8 @@ def _substitute(ctx, F, q, c):
     if not new:
         raise _EscalationNeeded("substitution cancelled to zero")
     shift = min(e for e, _ in new)
-    scale = 1.0 / top
-    return {(e - shift, j): v * scale for (e, j), v in new.items()}
+    norm = 1.0 / top
+    return {(e - shift, j): v * norm for (e, j), v in new.items()}
 
 
 def _sort_key(series: PuiseuxSeries):
@@ -368,7 +398,7 @@ def _expand_bipoly(ctx, f: BiPoly, depth):
     _, f1 = f.x_content()
     if f1.deg_y() == 0:
         return []
-    tails = _expand(ctx, _poly_data(ctx, f1), depth)
+    tails = _expand(ctx, _poly_data(ctx, f1), 1, depth)
     series = [PuiseuxSeries(terms, trunc, ctx) for terms, trunc in tails]
     series.sort(key=_sort_key)
     return series
@@ -568,44 +598,55 @@ class _Decomposition:
     contact_classes, jnd_oracle and verify_decomposition all read from it.
     The exact set-up runs once: the semigroup of f, its characteristic
     roots (skipped when fk is supplied), the genus, index and fk checks,
-    and one jacobian determinant per k.  The numeric work is one worker
-    under _with_escalation: it expands f once at the depth b_g/b_0 + 1 that
-    every k shares, classifies the jacobian roots of each k against those
-    roots, and then measures the contacts of each root of f with its
+    and one jacobian determinant per k.  A supplied fk with no index given
+    is a root of the one index whose degree b_0/l_k it has; that degree
+    strictly increases with k.  The numeric work is one worker under
+    _with_escalation: it expands f once at the depth b_g/b_0 + 1 that
+    every k shares and classifies the jacobian roots of each k against
+    those roots.  With profile set, as verify_decomposition asks, the same
+    worker then measures the contacts of each root of f with its
     conjugates once.  An escalation at any k therefore reruns every k at
     the next tier.
 
-    indices lists the k to decompose, None meaning 0..g-1.  Per k,
-    roots[k] is the curve of maximal contact, jacobians[k] the
-    jacobian of (roots[k], f), classes[k] its contact classes and
-    jac_counts[k], for each root of f, the number of jacobian roots with
-    contact at least b_(k+1)/b_0 with it.  self_contacts holds, for each
-    root of f, its contacts with the other conjugates.
+    indices lists the k to decompose, None meaning 0..g-1, or the index of
+    fk when one is supplied.  Per k, roots[k] is the curve of maximal
+    contact, jacobians[k] the jacobian of (roots[k], f), classes[k] its
+    contact classes and jac_counts[k], for each root of f, the number of
+    jacobian roots with contact at least b_(k+1)/b_0 with it.
+    self_contacts holds, for each root of f, its contacts with the other
+    conjugates; it is None without profile.
     """
 
-    def __init__(self, f: BiPoly, indices=None, fk: BiPoly | None = None):
+    def __init__(self, f: BiPoly, indices=None, fk: BiPoly | None = None, profile=False):
         s = semigroup_of(f)
-        if s.genus == 0:
+        g = s.genus
+        if g == 0:
             raise ValidationError("a smooth branch has no jacobian decomposition")
-        if indices is None:
-            indices = range(s.genus)
-        for k in indices:
-            if not isinstance(k, int) or not 0 <= k <= s.genus - 1:
-                raise ValidationError(f"diagram index must lie in 0..{s.genus - 1}, got {k!r}")
+        for k in indices or ():
+            if not isinstance(k, int) or not 0 <= k <= g - 1:
+                raise ValidationError(f"diagram index must lie in 0..{g - 1}, got {k!r}")
+        degrees = [s.multiplicity // s.gcds[k] for k in range(g)]
         self.fk_given = fk is not None
         if self.fk_given:
             if not fk.is_monic_in_y() or not fk.is_weierstrass():
                 raise ValidationError("the supplied root must be a Weierstrass polynomial")
+            if indices is None:
+                if fk.deg_y() not in degrees:
+                    raise ValidationError(
+                        f"the supplied root has y-degree {fk.deg_y()}; a curve of maximal "
+                        f"contact of index 0..{g - 1} has y-degree {degrees} respectively"
+                    )
+                indices = [degrees.index(fk.deg_y())]
             for k in indices:
-                if fk.deg_y() != s.multiplicity // s.gcds[k]:
+                if fk.deg_y() != degrees[k]:
                     raise ValidationError(
                         f"the supplied root has y-degree {fk.deg_y()}, index {k} "
-                        f"requires {s.multiplicity // s.gcds[k]}"
+                        f"requires {degrees[k]}"
                     )
             self.roots = dict.fromkeys(indices, fk)
         else:
             char_roots = characteristic_roots(f)
-            self.roots = {k: char_roots[k] for k in indices}
+            self.roots = {k: char_roots[k] for k in (range(g) if indices is None else indices)}
         self.jacobians = {k: jacobian_det(fk_k, f) for k, fk_k in self.roots.items()}
         if any(jac.is_zero() for jac in self.jacobians.values()):
             raise ValidationError("the jacobian determinant vanishes identically")
@@ -613,6 +654,7 @@ class _Decomposition:
         self.s = s
         self.exponents = semigroup_to_char(s).exponents
         self.depth = Fraction(self.exponents[-1], self.exponents[0]) + 1
+        self.profile = profile
         self.classes, self.jac_counts, self.self_contacts = _with_escalation(self._measure)
 
     def _measure(self, ctx):
@@ -623,6 +665,8 @@ class _Decomposition:
         classes, jac_counts = {}, {}
         for k in self.roots:
             classes[k], jac_counts[k] = self._classify(ctx, sigma, k)
+        if not self.profile:
+            return classes, jac_counts, None
         self_contacts = [
             [
                 _decided_contact(ctx, sa, sb, "conjugate roots of f")
@@ -801,9 +845,11 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
     Runs, for each index (or the one given): the contact-class oracle, the
     conjugate-contact profile of f, the jacobian contact counts, the class
     sizes, both diagram totals, and optionally the exact resultant totals.
-    Returns the full report; raises VerificationError on any failure.
+    A supplied fk without k is checked at the one index whose degree
+    b_0/l_k it has.  Returns the full report; raises VerificationError on
+    any failure.
     """
-    dec = _Decomposition(f, None if k is None else [k], fk)
+    dec = _Decomposition(f, None if k is None else [k], fk, profile=True)
     s = dec.s
     b = dec.exponents
     b0 = b[0]

@@ -130,9 +130,14 @@ def test_semigroup_of_rejects_reducible():
     with pytest.raises(ValidationError):
         semigroup_of(y(3) - x(3) * y())  # shares the component y = 0
     with pytest.raises(ValidationError, match="swap"):
-        semigroup_of(y(2) - x())  # tangent to y = 0
+        semigroup_of(y(2) - x())  # tangent to x = 0
     with pytest.raises(ValidationError):
         semigroup_of(y(2) + y() + x())  # not Weierstrass
+    # second generator b = n: no branch has it, and swapping x and y would
+    # give the same kind of curve back, so these are not told to swap
+    for node in ("y^2-x^2", "y*(y-x)", "y^2-x^2-x^3"):
+        with pytest.raises(ValidationError, match="does not refine the gcd chain"):
+            semigroup_of(parse_poly(node))
 
 
 def test_build_test_branch_frozen():

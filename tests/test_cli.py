@@ -152,8 +152,9 @@ def test_demo_noninjectivity(capsys):
 def test_exit_codes(capsys):
     code, _, err = run(capsys, "semigroup", "--f", "2x")
     assert code == 3 and "line 1, column 2" in err
-    code, _, err = run(capsys, "semigroup", "--f", "y^2-x^2")
-    assert code == 1
+    for node in ("y^2-x^2", "y*(y-x)", "y^2-x^2-x^3"):
+        code, _, err = run(capsys, "semigroup", "--f", node)
+        assert code == 1 and "not an irreducible branch" in err and "swap" not in err
     code, _, err = run(capsys, "jnd", "--semigroup", "4,6,13", "--k", "7")
     assert code == 1 and "out of range" in err
     code, _, err = run(capsys, "jnd", "--semigroup", "4,5,13")

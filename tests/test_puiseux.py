@@ -11,17 +11,21 @@ from planebranch import (
     NewtonDiagram,
     NumericError,
     ValidationError,
+    characteristic_roots,
     contact,
     contact_classes,
     jacobian_det,
     jnd_oracle,
     parse_poly,
     puiseux_expand,
+    random_test_branch,
     root_contacts,
+    semigroup_to_char,
     verify_cycle,
     verify_decomposition,
 )
 from planebranch.fixtures import BRANCH_4_6_13, BRANCH_6_8_27, BRANCH_6_8_27_VARIANT
+from planebranch.puiseux import _Decomposition
 
 E = ElementarySegment
 D = NewtonDiagram
@@ -93,6 +97,59 @@ def test_truncated_series_format():
     assert "O(x^4)" in str(s)
     assert s.truncation == 4
     assert s.support()[0] == Fraction(3, 2)
+
+
+def test_dropped_terms_keep_the_truncation():
+    # x^100 lies far above the window, so the expander drops it; the two
+    # roots then look like exact x^(3/2) but are only known below depth 4
+    far = parse_poly("y^2-x^3+x^100")
+    series = puiseux_expand(far, 4)
+    assert len(series) == 2
+    assert [s.truncation for s in series] == [4, 4]
+    assert [s.support() for s in series] == [(Fraction(3, 2),)] * 2
+    # the true contact with the cusp is 197/2, beyond the deepest expansion
+    with pytest.raises(ContactUndecidableError) as err:
+        contact(far, CUSP)
+    assert err.value.bound == 64
+    assert contact(far, CUSP, partial=True) == 64
+
+
+def _agree_below(low, high, depth):
+    """low, expanded at depth, is high cut below depth: supports equal and
+    coefficients within 1e-6 relative; exact series stay exact."""
+    if low.truncation == inf:
+        if high.truncation != inf:
+            return False
+    elif low.truncation != depth:
+        return False
+    cut = [(e, c) for e, c in high.terms if e < depth]
+    if [e for e, _ in cut] != list(low.support()):
+        return False
+    return all(
+        abs(ca - cb) <= 1e-6 * max(abs(ca), abs(cb))
+        for (_, ca), (_, cb) in zip(low.terms, cut)
+    )
+
+
+def test_expansion_is_consistent_across_depths(rng):
+    # each branch with one jacobian per k, at 2 and at the verifier's depth
+    cases = [(BRANCH_4_6_13, Fraction(17, 4))]
+    for _ in range(20):
+        f, s = random_test_branch(rng, max_degree=8)
+        depth = Fraction(semigroup_to_char(s).exponents[-1], s.multiplicity) + 1
+        cases.append((f, depth))
+        if s.genus:
+            cases.extend((jacobian_det(fk, f), depth) for fk in characteristic_roots(f))
+    for g, verifier_depth in cases:
+        for depth in (Fraction(2), verifier_depth):
+            low = puiseux_expand(g, depth)
+            high = puiseux_expand(g, 2 * depth)
+            assert len(low) == len(high)
+            unmatched = list(high)
+            for a in low:
+                match = next((b for b in unmatched if _agree_below(a, b, depth)), None)
+                assert match is not None, (str(g), depth, str(a))
+                unmatched.remove(match)
 
 
 def test_contact_frozen_values():
@@ -195,6 +252,26 @@ def test_verify_decomposition_full():
     assert all(ok for _, ok, _ in report)
     assert len(verify_decomposition(BRANCH_4_6_13, exact_totals=False)) == 14
     assert len(verify_decomposition(BRANCH_4_6_13, k=1)) == 9
+
+
+@pytest.mark.parametrize("root, k", [("y", 0), ("y^2-x^3", 1), ("y^2-x^3-x^4", 1)])
+def test_verify_decomposition_infers_index_of_supplied_root(root, k):
+    fk = parse_poly(root)
+    report = verify_decomposition(BRANCH_4_6_13, fk=fk)
+    assert report == verify_decomposition(BRANCH_4_6_13, k=k, fk=fk)
+    assert {name.split(":")[0] for name, _, _ in report} == {f"k={k}"}
+
+
+def test_verify_decomposition_rejects_root_of_no_index():
+    # y-degrees b_0/l_k of <4, 6, 13> are 1 and 2
+    with pytest.raises(ValidationError, match=r"y-degree 3.*\[1, 2\]"):
+        verify_decomposition(BRANCH_4_6_13, fk=parse_poly("y^3-x^5"))
+
+
+def test_only_the_verifier_measures_the_conjugate_profile():
+    assert _Decomposition(BRANCH_4_6_13, [0]).self_contacts is None
+    rows = _Decomposition(BRANCH_4_6_13, [0], profile=True).self_contacts
+    assert len(rows) == 4 and all(len(row) == 3 for row in rows)
 
 
 def test_verify_decomposition_rejects_smooth():
