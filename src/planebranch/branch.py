@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, inf, prod
 
+from ._value import Value
 from .errors import ValidationError
 from .poly import BiPoly, intersection_multiplicity
 
@@ -56,55 +57,63 @@ def _check_positive_ints(values, what: str) -> tuple:
     return tuple(out)
 
 
-class CharSequence:
-    """Characteristic exponents (b0; b1, ..., bg) of a branch.
+class _GcdChain(Value):
+    """Positive integers whose running gcds l_0 > l_1 > ... > l_g = 1
+    decrease strictly to 1.
 
-    b0 is the multiplicity, the rest are the exponents b/b0 at which the
-    ramification of a Puiseux root drops.  The gcd chain must decrease
-    strictly and reach 1.
+    The first entry is the multiplicity and g the genus; a single entry
+    must be 1, the smooth branch.
     """
 
-    __slots__ = ("exponents", "gcds")
+    __slots__ = ("gcds",)
 
-    def __init__(self, exponents):
-        exponents = _check_positive_ints(exponents, "characteristic exponents")
-        chain = _gcd_chain(exponents)
+    @staticmethod
+    def _validate(values, what: str, smooth: str):
+        """The values as a tuple of ints and their gcd chain, once both check out."""
+        values = _check_positive_ints(values, what)
+        chain = _gcd_chain(values)
         if chain[-1] != 1:
             raise ValidationError(f"gcd chain must end at 1, got {chain}")
-        for prev, cur in zip(exponents, exponents[1:]):
-            if cur <= prev:
-                raise ValidationError(f"exponents must increase strictly: {prev} !< {cur}")
         for prev, cur in zip(chain, chain[1:]):
             if cur >= prev:
                 raise ValidationError(f"gcd chain must decrease strictly, got {chain}")
-        if len(exponents) == 1 and exponents[0] != 1:
-            raise ValidationError("a sequence without further exponents must be (1)")
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "gcds", chain)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CharSequence is immutable")
+        if len(values) == 1 and values[0] != 1:
+            raise ValidationError(smooth)
+        return values, chain
 
     @property
     def multiplicity(self) -> int:
-        return self.exponents[0]
+        return self.gcds[0]
 
     @property
     def genus(self) -> int:
-        return len(self.exponents) - 1
+        return len(self.gcds) - 1
 
     @property
     def n_factors(self) -> tuple:
-        """Ramification drops n_q = l_{q-1} / l_q, one per exponent past b0."""
+        """Ramification drops n_q = l_{q-1} / l_q, one per entry past the first."""
         return tuple(a // b for a, b in zip(self.gcds, self.gcds[1:]))
 
-    def __eq__(self, other):
-        if not isinstance(other, CharSequence):
-            return NotImplemented
-        return self.exponents == other.exponents
 
-    def __hash__(self):
-        return hash(("char", self.exponents))
+class CharSequence(_GcdChain):
+    """Characteristic exponents (b0; b1, ..., bg) of a branch.
+
+    b0 is the multiplicity, the rest are the exponents b/b0 at which the
+    ramification of a Puiseux root drops.  The exponents increase strictly.
+    """
+
+    __slots__ = ("exponents",)
+
+    def __init__(self, exponents):
+        exponents, chain = self._validate(exponents, "characteristic exponents",
+                                          "a sequence without further exponents must be (1)")
+        for prev, cur in zip(exponents, exponents[1:]):
+            if cur <= prev:
+                raise ValidationError(f"exponents must increase strictly: {prev} !< {cur}")
+        self._set(exponents=exponents, gcds=chain)
+
+    def _key(self):
+        return self.exponents
 
     def __str__(self):
         if self.genus == 0:
@@ -116,26 +125,18 @@ class CharSequence:
         return f"CharSequence({self.exponents})"
 
 
-class Semigroup:
+class Semigroup(_GcdChain):
     """Minimal generators (v0, v1, ..., vg) of the semigroup of a branch.
 
-    Invariants enforced: the gcd chain l_q decreases strictly to 1, each
-    n_q = l_{q-1}/l_q is at least 2, v1 > v0, and every later generator
-    clears the previous tier: v_{q+1} > n_q v_q.  A smooth branch is (1,).
+    Beyond the gcd chain: v1 > v0, and every later generator clears the
+    previous tier, v_{q+1} > n_q v_q.  A smooth branch is (1,).
     """
 
-    __slots__ = ("generators", "gcds")
+    __slots__ = ("generators",)
 
     def __init__(self, generators):
-        generators = _check_positive_ints(generators, "semigroup generators")
-        chain = _gcd_chain(generators)
-        if chain[-1] != 1:
-            raise ValidationError(f"gcd chain must end at 1, got {chain}")
-        for prev, cur in zip(chain, chain[1:]):
-            if cur >= prev:
-                raise ValidationError(f"gcd chain must decrease strictly, got {chain}")
-        if len(generators) == 1 and generators[0] != 1:
-            raise ValidationError("a semigroup without extra generators must be (1,)")
+        generators, chain = self._validate(generators, "semigroup generators",
+                                           "a semigroup without extra generators must be (1,)")
         if len(generators) > 1 and generators[1] <= generators[0]:
             raise ValidationError(
                 f"second generator must exceed the multiplicity, got {generators[:2]}"
@@ -146,23 +147,7 @@ class Semigroup:
                 raise ValidationError(
                     f"generator {generators[q + 1]} must exceed {n_q} * {generators[q]}"
                 )
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "gcds", chain)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Semigroup is immutable")
-
-    @property
-    def multiplicity(self) -> int:
-        return self.generators[0]
-
-    @property
-    def genus(self) -> int:
-        return len(self.generators) - 1
-
-    @property
-    def n_factors(self) -> tuple:
-        return tuple(a // b for a, b in zip(self.gcds, self.gcds[1:]))
+        self._set(generators=generators, gcds=chain)
 
     def milnor(self) -> int:
         """Milnor number, which for a branch equals the conductor."""
@@ -171,16 +156,8 @@ class Semigroup:
             total += (n_q - 1) * b
         return total - self.generators[0] + 1
 
-    def conductor(self) -> int:
-        return self.milnor()
-
-    def __eq__(self, other):
-        if not isinstance(other, Semigroup):
-            return NotImplemented
-        return self.generators == other.generators
-
-    def __hash__(self):
-        return hash(("semigroup", self.generators))
+    def _key(self):
+        return self.generators
 
     def __str__(self):
         return "<" + ", ".join(map(str, self.generators)) + ">"
@@ -192,10 +169,8 @@ class Semigroup:
 def char_to_semigroup(char: CharSequence) -> Semigroup:
     """Generators from exponents: v_{q+1} = n_q v_q + b_{q+1} - b_q."""
     b = char.exponents
-    if char.genus == 0:
-        return Semigroup((1,))
     n = char.n_factors
-    gens = [b[0], b[1]]
+    gens = list(b[:2])
     for q in range(1, char.genus):
         gens.append(n[q - 1] * gens[q] + b[q + 1] - b[q])
     return Semigroup(gens)
@@ -204,10 +179,8 @@ def char_to_semigroup(char: CharSequence) -> Semigroup:
 def semigroup_to_char(s: Semigroup) -> CharSequence:
     """Inverse of char_to_semigroup."""
     v = s.generators
-    if s.genus == 0:
-        return CharSequence((1,))
     n = s.n_factors
-    b = [v[0], v[1]]
+    b = list(v[:2])
     for q in range(1, s.genus):
         b.append(v[q + 1] - n[q - 1] * v[q] + b[q])
     return CharSequence(b)

@@ -296,9 +296,13 @@ def _run_batch(path: str) -> int:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        words = shlex.split(line)
-        if "--batch" in words:
-            print(f"error: line {lineno}: nested --batch", file=sys.stderr)
+        try:
+            words = shlex.split(line)
+            problem = "nested --batch" if "--batch" in words else None
+        except ValueError as exc:
+            problem = str(exc)
+        if problem:
+            print(f"error: line {lineno}: {problem}", file=sys.stderr)
             status = status or 1
             continue
         print(f"# {line}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, inf, lcm
 
+from ._value import Value
 from .errors import ValidationError
 from .poly import BiPoly
 
@@ -27,21 +28,25 @@ __all__ = [
 ]
 
 
+def _rational(value, what: str, allowed: str) -> Fraction:
+    if isinstance(value, (float, bool)):
+        raise ValidationError(f"{what} must be {allowed}, got {type(value).__name__} {value!r}")
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"{what} must be {allowed}, got {value!r}") from exc
+
+
 def _frac_or_inf(value, what: str):
     if value == inf:
         return inf
-    if isinstance(value, float):
-        raise ValidationError(f"{what} must be rational or inf, got float {value!r}")
-    try:
-        v = Fraction(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} must be rational or inf, got {value!r}") from exc
+    v = _rational(value, what, "rational or inf")
     if v <= 0:
         raise ValidationError(f"{what} must be positive, got {value!r}")
     return v
 
 
-class ElementarySegment:
+class ElementarySegment(Value):
     """One elementary Newton diagram, written {length \\ height}.
 
     The length is the horizontal extent and the height the vertical extent of
@@ -55,11 +60,7 @@ class ElementarySegment:
         height = _frac_or_inf(height, "segment height")
         if length == inf and height == inf:
             raise ValidationError("segment cannot be infinite in both directions")
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "height", height)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ElementarySegment is immutable")
+        self._set(length=length, height=height)
 
     @property
     def inclination(self):
@@ -70,24 +71,15 @@ class ElementarySegment:
             return inf
         return self.length / self.height
 
-    def is_finite(self) -> bool:
-        return self.length != inf and self.height != inf
-
     def scaled(self, factor) -> "ElementarySegment":
         factor = Fraction(factor)
         if factor <= 0:
             raise ValidationError("scale factor must be positive")
-        ln = self.length if self.length == inf else self.length * factor
-        ht = self.height if self.height == inf else self.height * factor
-        return ElementarySegment(ln, ht)
+        # inf times a positive factor stays inf
+        return ElementarySegment(self.length * factor, self.height * factor)
 
-    def __eq__(self, other):
-        if not isinstance(other, ElementarySegment):
-            return NotImplemented
-        return self.length == other.length and self.height == other.height
-
-    def __hash__(self):
-        return hash((self.length, self.height))
+    def _key(self):
+        return self.length, self.height
 
     def __str__(self):
         def fmt(v):
@@ -138,22 +130,7 @@ def _num_to_json(v):
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-def _num_from_json(v, what: str):
-    if v == "inf":
-        return inf
-    if isinstance(v, bool):
-        raise ValidationError(f"{what}: expected a number, got {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"{what}: cannot parse {v!r}") from exc
-    raise ValidationError(f"{what}: expected int, rational string or 'inf', got {v!r}")
-
-
-class NewtonDiagram:
+class NewtonDiagram(Value):
     """A Newton diagram: monomial shift plus finite elementary segments.
 
     Segments are kept sorted by strictly increasing inclination; summands
@@ -165,7 +142,8 @@ class NewtonDiagram:
 
     def __init__(self, segments=(), shift=(0, 0)):
         sx, sy = shift
-        sx, sy = Fraction(sx), Fraction(sy)
+        sx = _rational(sx, "diagram shift", "rational")
+        sy = _rational(sy, "diagram shift", "rational")
         if sx < 0 or sy < 0:
             raise ValidationError(f"diagram shift must be nonnegative, got ({sx}, {sy})")
         finite = []
@@ -185,11 +163,7 @@ class NewtonDiagram:
                 prev = merged.pop()
                 seg = ElementarySegment(prev.length + seg.length, prev.height + seg.height)
             merged.append(seg)
-        object.__setattr__(self, "shift", (sx, sy))
-        object.__setattr__(self, "segments", tuple(merged))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NewtonDiagram is immutable")
+        self._set(shift=(sx, sy), segments=tuple(merged))
 
     # -- inspection -----------------------------------------------------
 
@@ -225,13 +199,8 @@ class NewtonDiagram:
     def is_trivial(self) -> bool:
         return not self.segments and self.shift == (0, 0)
 
-    def __eq__(self, other):
-        if not isinstance(other, NewtonDiagram):
-            return NotImplemented
-        return self.shift == other.shift and self.segments == other.segments
-
-    def __hash__(self):
-        return hash((self.shift, self.segments))
+    def _key(self):
+        return self.shift, self.segments
 
     def __str__(self):
         parts = [str(s) for s in self.canonical_decomposition()]
@@ -276,24 +245,14 @@ class NewtonDiagram:
         shift = data.get("shift", [0, 0])
         if not (isinstance(shift, (list, tuple)) and len(shift) == 2):
             raise ValidationError("diagram shift must be a pair")
-        sx = _num_from_json(shift[0], "shift[0]")
-        sy = _num_from_json(shift[1], "shift[1]")
-        if sx == inf or sy == inf:
-            raise ValidationError("diagram shift must be finite")
         raw = data.get("segments", [])
         if not isinstance(raw, (list, tuple)):
             raise ValidationError("diagram segments must be a list")
-        segments = []
         for entry in raw:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
                 raise ValidationError(f"segment entry must be a pair, got {entry!r}")
-            segments.append(
-                ElementarySegment(
-                    _num_from_json(entry[0], "segment length"),
-                    _num_from_json(entry[1], "segment height"),
-                )
-            )
-        return cls(segments, (sx, sy))
+        # the constructor checks every number; JSON spells inf as a string
+        return cls([[inf if v == "inf" else v for v in entry] for entry in raw], shift)
 
     # -- rendering ----------------------------------------------------------
 
@@ -411,12 +370,7 @@ def diagram_of(f: BiPoly) -> NewtonDiagram:
 
 
 def minkowski_sum(*diagrams) -> NewtonDiagram:
-    if not diagrams:
-        return NewtonDiagram()
-    total = diagrams[0]
-    for d in diagrams[1:]:
-        total = total + d
-    return total
+    return sum(diagrams, NewtonDiagram())
 
 
 def diagram_difference(a: NewtonDiagram, b: NewtonDiagram) -> NewtonDiagram:

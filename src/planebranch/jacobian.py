@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._value import Value
 from .branch import Semigroup, approximate_root_semigroup
 from .diagram import ElementarySegment, NewtonDiagram
 from .errors import ValidationError
@@ -33,7 +34,7 @@ __all__ = [
 def _check_index(s: Semigroup, k: int):
     if s.genus == 0:
         raise ValidationError("a smooth branch has no approximate jacobian diagrams")
-    if not isinstance(k, int) or not 0 <= k <= s.genus - 1:
+    if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= s.genus - 1:
         raise ValidationError(f"diagram index must lie in 0..{s.genus - 1}, got {k!r}")
 
 
@@ -76,7 +77,7 @@ def jacobian_invariants(s: Semigroup, k: int) -> tuple:
     return tuple(out)
 
 
-class JndFamily:
+class JndFamily(Value):
     """All approximate jacobian Newton diagrams of one branch, indexed by k."""
 
     __slots__ = ("semigroup", "diagrams")
@@ -88,11 +89,7 @@ class JndFamily:
                 f"family of a genus {semigroup.genus} branch needs "
                 f"{semigroup.genus} diagrams, got {len(diagrams)}"
             )
-        object.__setattr__(self, "semigroup", semigroup)
-        object.__setattr__(self, "diagrams", diagrams)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JndFamily is immutable")
+        self._set(semigroup=semigroup, diagrams=diagrams)
 
     def __len__(self):
         return len(self.diagrams)
@@ -103,13 +100,8 @@ class JndFamily:
     def __getitem__(self, k):
         return self.diagrams[k]
 
-    def __eq__(self, other):
-        if not isinstance(other, JndFamily):
-            return NotImplemented
-        return self.semigroup == other.semigroup and self.diagrams == other.diagrams
-
-    def __hash__(self):
-        return hash((self.semigroup, self.diagrams))
+    def _key(self):
+        return self.semigroup, self.diagrams
 
     def __str__(self):
         lines = [f"semigroup {self.semigroup}"]
@@ -154,7 +146,7 @@ def family_from_json_dict(data):
         if not isinstance(entry, dict) or "k" not in entry:
             raise ValidationError("each family entry needs a diagram index 'k'")
         k = entry["k"]
-        if not isinstance(k, int) or k < 0:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise ValidationError(f"diagram index must be a nonnegative integer, got {k!r}")
         if k in by_k:
             raise ValidationError(f"duplicate diagram index k={k}")
@@ -174,17 +166,16 @@ def family_from_json_dict(data):
     return claimed, diagrams
 
 
-class RecoveryData:
+class RecoveryData(Value):
     """Semigroup recovered from a diagram family, with the geometric readings."""
 
     __slots__ = ("semigroup", "readings")
 
     def __init__(self, semigroup: Semigroup, readings):
-        object.__setattr__(self, "semigroup", semigroup)
-        object.__setattr__(self, "readings", tuple(readings))
+        self._set(semigroup=semigroup, readings=tuple(readings))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RecoveryData is immutable")
+    def _key(self):
+        return self.semigroup, self.readings
 
     def describe(self) -> str:
         return "\n".join(self.readings)

@@ -21,9 +21,10 @@ import mpmath
 import numpy as np
 from mpmath.libmp import NoConvergence
 
+from ._value import Value
 from .branch import (
+    _am_iteration,
     approximate_root_semigroup,
-    characteristic_roots,
     semigroup_of,
     semigroup_to_char,
 )
@@ -34,7 +35,7 @@ from .errors import (
     ValidationError,
     VerificationError,
 )
-from .jacobian import jnd_formula
+from .jacobian import _check_index, jnd_formula
 from .poly import BiPoly, intersection_multiplicity, jacobian_det
 
 __all__ = [
@@ -114,25 +115,24 @@ def _with_escalation(worker, min_bits=53):
     raise NumericError(f"undecidable at {_LADDER[-1]} bits: {failure}")
 
 
-class PuiseuxSeries:
+class PuiseuxSeries(Value):
     """A truncated fractional power series in x.
 
     Terms are (exponent, coefficient) pairs with exact Fraction exponents;
     every exponent below the truncation is present.  The exact zero series
-    has no terms and infinite truncation.
+    has no terms and infinite truncation.  Two series are equal when their
+    terms and truncation are; the context that computed them does not count.
     """
 
     __slots__ = ("terms", "truncation", "context", "_by_exp")
 
     def __init__(self, terms, truncation, context=None):
         terms = tuple(sorted(terms, key=lambda t: t[0]))
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "_by_exp", {e: c for e, c in terms})
+        self._set(terms=terms, truncation=truncation, context=context,
+                  _by_exp={e: c for e, c in terms})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PuiseuxSeries is immutable")
+    def _key(self):
+        return self.terms, self.truncation
 
     def support(self):
         return tuple(e for e, _ in self.terms)
@@ -533,7 +533,7 @@ def root_contacts(f: BiPoly, h: BiPoly, depth=None):
 # ---------------------------------------------------------------------------
 
 
-class ContactClass:
+class ContactClass(Value):
     """One group of jacobian roots sharing their contact with the branch.
 
     contact is None for the residual class, which also absorbs the pure
@@ -551,13 +551,12 @@ class ContactClass:
     )
 
     def __init__(self, index, contact_value, roots, x_power, f_int, fk_int):
-        self.index = index
-        self.contact = contact_value
-        self.roots = tuple(roots)
-        self.x_power = x_power
-        self.f_intersection = f_int
-        self.fk_intersection = fk_int
-        self.x_intersection = len(roots)
+        self._set(index=index, contact=contact_value, roots=tuple(roots), x_power=x_power,
+                  f_intersection=f_int, fk_intersection=fk_int, x_intersection=len(roots))
+
+    def _key(self):
+        return (self.index, self.contact, self.roots, self.x_power,
+                self.f_intersection, self.fk_intersection)
 
     def segment(self) -> ElementarySegment:
         return ElementarySegment(self.f_intersection, self.fk_intersection)
@@ -596,11 +595,11 @@ class _Decomposition:
     """Merle's polar decomposition of one branch, for each requested index k.
 
     contact_classes, jnd_oracle and verify_decomposition all read from it.
-    The exact set-up runs once: the semigroup of f, its characteristic
-    roots (skipped when fk is supplied), the genus, index and fk checks,
-    and one jacobian determinant per k.  A supplied fk with no index given
-    is a root of the one index whose degree b_0/l_k it has; that degree
-    strictly increases with k.  The numeric work is one worker under
+    The exact set-up runs once: one Abhyankar-Moh iteration for both the
+    semigroup of f and its characteristic roots, the genus, index and fk
+    checks, and one jacobian determinant per k.  A supplied fk with no
+    index given is a root of the one index whose degree b_0/l_k it has;
+    that degree strictly increases with k.  The numeric work is one worker under
     _with_escalation: it expands f once at the depth b_g/b_0 + 1 that
     every k shares and classifies the jacobian roots of each k against
     those roots.  With profile set, as verify_decomposition asks, the same
@@ -618,13 +617,12 @@ class _Decomposition:
     """
 
     def __init__(self, f: BiPoly, indices=None, fk: BiPoly | None = None, profile=False):
-        s = semigroup_of(f)
+        s, char_roots = _am_iteration(f)
         g = s.genus
         if g == 0:
             raise ValidationError("a smooth branch has no jacobian decomposition")
         for k in indices or ():
-            if not isinstance(k, int) or not 0 <= k <= g - 1:
-                raise ValidationError(f"diagram index must lie in 0..{g - 1}, got {k!r}")
+            _check_index(s, k)
         degrees = [s.multiplicity // s.gcds[k] for k in range(g)]
         self.fk_given = fk is not None
         if self.fk_given:
@@ -645,7 +643,6 @@ class _Decomposition:
                     )
             self.roots = dict.fromkeys(indices, fk)
         else:
-            char_roots = characteristic_roots(f)
             self.roots = {k: char_roots[k] for k in (range(g) if indices is None else indices)}
         self.jacobians = {k: jacobian_det(fk_k, f) for k, fk_k in self.roots.items()}
         if any(jac.is_zero() for jac in self.jacobians.values()):

@@ -207,6 +207,16 @@ def test_batch_reports_first_failure_but_continues(capsys, tmp_path):
     assert code == 1 and "nested" in err
 
 
+def test_batch_reports_unbalanced_quote_and_continues(capsys, tmp_path):
+    script = tmp_path / "tasks.txt"
+    script.write_text('semigroup --f "y^2-x^3\nsemigroup --f y^2-x^3\n')
+    code, out, err = run(capsys, "--batch", str(script))
+    assert code == 1
+    assert err.startswith("error: line 1: No closing quotation")
+    assert "Traceback" not in err
+    assert "<2, 3>" in out  # the second line still ran
+
+
 def test_batch_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "--batch", str(tmp_path / "none.txt"))
     assert code == 1

@@ -39,6 +39,20 @@ def test_segment_validation():
         E(0, 2)
     with pytest.raises(ValidationError):
         E(3, -1)
+    with pytest.raises(ValidationError, match="got bool True"):
+        E(True, 1)
+
+
+@pytest.mark.parametrize("bad", ["abc", "1/0", float("nan"), 0.5, 0.0, inf, -1, Fraction(-1, 2)])
+def test_shift_validation(bad):
+    # the shift follows the rule of segment values: rational, never a float,
+    # but zero is allowed
+    with pytest.raises(ValidationError, match="diagram shift"):
+        NewtonDiagram([], (bad, 0))
+    with pytest.raises(ValidationError, match="diagram shift"):
+        NewtonDiagram([], (0, bad))
+    assert NewtonDiagram([], (Fraction(1, 2), "3/2")).shift == (Fraction(1, 2), Fraction(3, 2))
+    assert NewtonDiagram([], (0, 0)).is_trivial()
 
 
 def test_lower_hull_matches_support_oracle(rng):
@@ -142,6 +156,15 @@ def test_json_rejects_garbage():
         NewtonDiagram.from_json_dict({"shift": [0, 0], "segments": [["4/0", 2]]})
     with pytest.raises(ValidationError):
         NewtonDiagram.from_json_dict([])
+    for value in (4.5, True, None, "abc", [4]):
+        with pytest.raises(ValidationError, match="segment height"):
+            NewtonDiagram.from_json_dict({"segments": [[4, value]]})
+        with pytest.raises(ValidationError, match="diagram shift"):
+            NewtonDiagram.from_json_dict({"shift": [value, 0], "segments": []})
+    with pytest.raises(ValidationError, match="diagram shift"):
+        NewtonDiagram.from_json_dict({"shift": ["inf", 0], "segments": []})
+    with pytest.raises(ValidationError, match="segment length"):
+        E("1/0", 2)
 
 
 def test_str_notation():

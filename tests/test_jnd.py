@@ -51,6 +51,18 @@ def test_formula_rejects_bad_index():
         jnd_family(Semigroup((1,)))
 
 
+def test_boolean_index_is_rejected():
+    s = Semigroup((4, 6, 13))
+    with pytest.raises(ValidationError, match="got True"):
+        jnd_formula(s, True)
+    with pytest.raises(ValidationError, match="got False"):
+        jacobian_invariants(s, False)
+    diagrams = jnd_family(s).to_json_dict()["diagrams"]
+    payload = {"diagrams": [dict(diagrams[1], k=True), diagrams[0]]}
+    with pytest.raises(ValidationError, match="got True"):
+        family_from_json_dict(payload)
+
+
 def test_invariants_frozen():
     assert jacobian_invariants(Semigroup((4, 6, 13)), 0) == (4, Fraction(13, 3))
     assert jacobian_invariants(Semigroup((4, 6, 13)), 1) == (2,)

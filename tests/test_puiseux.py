@@ -25,6 +25,7 @@ from planebranch import (
     verify_decomposition,
 )
 from planebranch.fixtures import BRANCH_4_6_13, BRANCH_6_8_27, BRANCH_6_8_27_VARIANT
+import planebranch.puiseux as puiseux
 from planebranch.puiseux import _Decomposition
 
 E = ElementarySegment
@@ -274,6 +275,26 @@ def test_only_the_verifier_measures_the_conjugate_profile():
     assert len(rows) == 4 and all(len(row) == 3 for row in rows)
 
 
+def test_decomposition_runs_the_am_iteration_once(monkeypatch):
+    calls = []
+    am_iteration = puiseux._am_iteration
+
+    def counted(f):
+        calls.append(f)
+        return am_iteration(f)
+
+    monkeypatch.setattr(puiseux, "_am_iteration", counted)
+    verify_decomposition(BRANCH_4_6_13)
+    assert calls == [BRANCH_4_6_13]
+
+
 def test_verify_decomposition_rejects_smooth():
     with pytest.raises(ValidationError):
         verify_decomposition(parse_poly("y"))
+
+
+def test_decomposition_rejects_boolean_index():
+    with pytest.raises(ValidationError, match="got True"):
+        verify_decomposition(BRANCH_4_6_13, k=True)
+    with pytest.raises(ValidationError, match="got False"):
+        contact_classes(BRANCH_4_6_13, False)
