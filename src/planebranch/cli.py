@@ -16,7 +16,13 @@ import shlex
 import sys
 from pathlib import Path
 
-from .branch import Semigroup, characteristic_roots, semigroup_of, semigroup_to_char
+from .branch import (
+    Semigroup,
+    _am_iteration,
+    characteristic_roots,
+    semigroup_of,
+    semigroup_to_char,
+)
 from .errors import (
     ContactUndecidableError,
     PlanebranchError,
@@ -32,7 +38,7 @@ from .jacobian import (
     recovery_data,
 )
 from .parsing import parse_poly
-from .puiseux import verify_decomposition
+from .puiseux import _Decomposition, _decomposition_report
 
 __all__ = ["main", "build_parser"]
 
@@ -121,10 +127,11 @@ def cmd_jnd(args) -> int:
         raise ValidationError("provide exactly one of --semigroup or --f")
     if args.verify and args.f is None:
         raise ValidationError("--verify needs --f, the formula alone has no curve to check")
-    f = None
     if args.f is not None:
         f = parse_poly(args.f)
-        s = semigroup_of(f)
+        # --verify reuses this Abhyankar-Moh run instead of repeating it
+        am = _am_iteration(f)
+        s = am[0]
     else:
         s = _semigroup_flag(args.semigroup)
     family = jnd_family(s)
@@ -132,8 +139,8 @@ def cmd_jnd(args) -> int:
 
     report = None
     if args.verify:
-        which = None if args.k == "all" else ks[0]
-        report = verify_decomposition(f, k=which)
+        which = None if args.k == "all" else [ks[0]]
+        report = _decomposition_report(_Decomposition(f, which, profile=True, am=am))
 
     if args.svg:
         if len(ks) != 1:

@@ -13,13 +13,10 @@ exact the moment the coefficient decisions are trusted.
 
 from __future__ import annotations
 
+from cmath import phase
 from contextlib import nullcontext
 from fractions import Fraction
 from math import ceil, comb, factorial, inf, lcm
-
-import mpmath
-import numpy as np
-from mpmath.libmp import NoConvergence
 
 from ._value import Value
 from .branch import (
@@ -70,14 +67,21 @@ class NumericContext:
         self.chop_tol = 2.0 ** (-(bits - 20))
         self.sig_tol = 2.0 ** (-(2 * bits) // 3)
 
+    # numpy and mpmath are imported where a tier first needs them, so the
+    # exact pipeline never pays for loading them
+
     def guard(self):
         if self.bits <= 53:
             return nullcontext()
+        import mpmath
+
         return mpmath.workprec(self.bits + 20)
 
     def number(self, q: Fraction):
         if self.bits <= 53:
             return complex(q)
+        import mpmath
+
         return mpmath.mpc(mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator))
 
     def poly_roots(self, coeffs):
@@ -86,8 +90,13 @@ class NumericContext:
         if deg == 1:
             return [-coeffs[0] / coeffs[1]]
         if self.bits <= 53:
+            import numpy as np
+
             arr = np.array(list(reversed(coeffs)), dtype=np.complex128)
             return [complex(r) for r in np.roots(arr)]
+        import mpmath
+        from mpmath.libmp import NoConvergence
+
         try:
             roots = mpmath.polyroots(list(reversed(coeffs)), maxsteps=200, extraprec=self.bits)
         except NoConvergence as exc:
@@ -104,15 +113,15 @@ def _ladder_from(min_bits):
 
 
 def _with_escalation(worker, min_bits=53):
-    failure = None
+    failures = []
     for bits in _ladder_from(min_bits):
         ctx = NumericContext(bits)
         try:
             with ctx.guard():
                 return worker(ctx)
         except _EscalationNeeded as exc:
-            failure = exc
-    raise NumericError(f"undecidable at {_LADDER[-1]} bits: {failure}")
+            failures.append(f"{bits} bits: {exc}")
+    raise NumericError("undecidable at every precision tier: " + "; ".join(failures))
 
 
 class PuiseuxSeries(Value):
@@ -388,7 +397,7 @@ def _sort_key(series: PuiseuxSeries):
     if series.terms:
         e, c = series.terms[0]
         c = complex(c)
-        return (float(e), 0, np.angle(c), abs(c))
+        return (float(e), 0, phase(c), abs(c))
     return (float("inf"), 1, 0.0, 0.0)
 
 
@@ -613,11 +622,13 @@ class _Decomposition:
     contact classes and jac_counts[k], for each root of f, the number of
     jacobian roots with contact at least b_(k+1)/b_0 with it.
     self_contacts holds, for each root of f, its contacts with the other
-    conjugates; it is None without profile.
+    conjugates; it is None without profile.  am is _am_iteration(f) when
+    the caller has already run it.
     """
 
-    def __init__(self, f: BiPoly, indices=None, fk: BiPoly | None = None, profile=False):
-        s, char_roots = _am_iteration(f)
+    def __init__(self, f: BiPoly, indices=None, fk: BiPoly | None = None, profile=False,
+                 am=None):
+        s, char_roots = am or _am_iteration(f)
         g = s.genus
         if g == 0:
             raise ValidationError("a smooth branch has no jacobian decomposition")
@@ -846,7 +857,13 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
     b_0/l_k it has.  Returns the full report; raises VerificationError on
     any failure.
     """
-    dec = _Decomposition(f, None if k is None else [k], fk, profile=True)
+    return _decomposition_report(_Decomposition(f, None if k is None else [k], fk, profile=True),
+                                 exact_totals)
+
+
+def _decomposition_report(dec: _Decomposition, exact_totals: bool = True):
+    """The checks of verify_decomposition on a decomposition built with profile."""
+    f = dec.f
     s = dec.s
     b = dec.exponents
     b0 = b[0]

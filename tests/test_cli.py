@@ -1,9 +1,11 @@
 """Command line behavior: outputs, exit codes, JSON determinism, batch."""
 
 import json
+import sys
 
 import pytest
 
+from planebranch import branch
 from planebranch.cli import main
 
 F2 = "(y^2-x^3)^2-x^5*y"
@@ -73,6 +75,22 @@ def test_jnd_verify(capsys):
     code, out, _ = run(capsys, "jnd", "--f", F2, "--k", "1", "--verify")
     assert code == 0
     assert "[ok]" in out and "FAIL" not in out
+
+
+def test_jnd_verify_runs_the_am_iteration_once(capsys, monkeypatch):
+    calls = []
+    am_iteration = branch._am_iteration
+
+    def counted(f):
+        calls.append(f)
+        return am_iteration(f)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("planebranch") and getattr(module, "_am_iteration", None) is am_iteration:
+            monkeypatch.setattr(module, "_am_iteration", counted)
+    code, out, _ = run(capsys, "jnd", "--f", F2, "--verify")
+    assert code == 0 and "[ok]" in out and "FAIL" not in out
+    assert len(calls) == 1
 
 
 def test_jnd_flag_conflicts(capsys):

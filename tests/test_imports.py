@@ -1,0 +1,78 @@
+"""The exact pipeline never loads the numeric stack.
+
+Each check runs in a fresh interpreter, because this test process has
+already imported numpy and mpmath through other tests.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import planebranch
+from planebranch.cli import main
+
+F2 = "(y^2-x^3)^2-x^5*y"
+
+SCRIPT = """
+import json, sys
+from contextlib import redirect_stdout
+from io import StringIO
+
+from planebranch.cli import main
+from planebranch import parse_poly, puiseux_expand
+
+
+def loaded():
+    return [name for name in ("numpy", "mpmath") if name in sys.modules]
+
+
+before = loaded()
+with redirect_stdout(StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+if codes != [0] * len(codes):
+    sys.exit(f"exit codes {codes}")
+exec(sys.argv[2])
+print(json.dumps([before, loaded()]))
+"""
+
+
+def numeric_modules(tmp_path, commands, action=""):
+    """numpy and mpmath among the modules of a fresh interpreter, after it
+    imports planebranch.cli and after it then runs the CLI commands and
+    the Python action."""
+    src = str(Path(planebranch.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT, json.dumps(commands), action],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_exact_commands_load_no_numeric_library(tmp_path, capsys):
+    assert main(["jnd", "--semigroup", "4,6,13", "--json"]) == 0
+    family = tmp_path / "family.json"
+    family.write_text(capsys.readouterr().out)
+    commands = [
+        ["semigroup", "--f", F2],
+        ["roots", "--f", F2],
+        ["jnd", "--semigroup", "4,6,13", "--json"],
+        ["invariants", "--semigroup", "4,6,13"],
+        ["recover", "--family", str(family), "--explain"],
+    ]
+    assert numeric_modules(tmp_path, commands) == [[], []]
+
+
+def test_verification_at_53_bits_loads_numpy_only(tmp_path):
+    commands = [["jnd", "--f", F2, "--verify"]]
+    assert numeric_modules(tmp_path, commands) == [[], ["numpy"]]
+
+
+def test_higher_tiers_load_mpmath(tmp_path):
+    action = "assert len(puiseux_expand(parse_poly('y^2-x^3'), 4, min_bits=128)) == 2"
+    before, after = numeric_modules(tmp_path, [], action)
+    assert before == [] and "mpmath" in after

@@ -93,6 +93,17 @@ def test_expansion_starts_at_min_bits(f, depth, bits):
     assert _shape(series) == _shape(puiseux_expand(f, depth))
 
 
+@pytest.mark.parametrize("min_bits, tiers", [(53, (53, 128, 256, 512)), (256, (256, 512))])
+def test_numeric_error_names_every_tier_tried(min_bits, tiers):
+    def worker(ctx):
+        raise puiseux._EscalationNeeded(f"reason {ctx.bits}")
+
+    with pytest.raises(NumericError) as info:
+        puiseux._with_escalation(worker, min_bits)
+    tried = "; ".join(f"{bits} bits: reason {bits}" for bits in tiers)
+    assert str(info.value) == f"undecidable at every precision tier: {tried}"
+
+
 def test_truncated_series_format():
     s = puiseux_expand(parse_poly("y^2-x^3-x^4"), 4)[0]
     assert "O(x^4)" in str(s)

@@ -1,5 +1,7 @@
 """The immutable-value idiom shared by every invariant class."""
 
+import copy
+import pickle
 import re
 from fractions import Fraction
 
@@ -96,6 +98,16 @@ def test_equal_values_compare_and_hash_alike(cls):
     assert len({a, b, make_other()}) == 2
     assert a != make_other()
     assert a != object() and a != None  # noqa: E711
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_values_copy_and_pickle(cls):
+    value = VALUES[cls][0]()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is cls
+        assert twin == value and hash(twin) == hash(value)
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            setattr(twin, cls.__slots__[0], None)
 
 
 def test_types_must_match_exactly():
