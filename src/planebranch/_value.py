@@ -1,4 +1,25 @@
-"""The base every immutable value class of the package derives from."""
+"""The base every immutable value class of the package derives from, and the
+rules for integer and rational arguments."""
+
+from fractions import Fraction
+
+from .errors import ValidationError
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool: True is not the integer 1 here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _rational(value, what: str, allowed: str) -> Fraction:
+    """value as an exact Fraction: an int, a Fraction or a string such as
+    "3/2", never a float or a bool; ValidationError otherwise."""
+    if isinstance(value, (float, bool)):
+        raise ValidationError(f"{what} must be {allowed}, got {type(value).__name__} {value!r}")
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"{what} must be {allowed}, got {value!r}") from exc
 
 
 class Value:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, inf, prod
 
-from ._value import Value
+from ._value import Value, _is_int
 from .errors import ValidationError
 from .poly import BiPoly, intersection_multiplicity
 
@@ -47,7 +47,7 @@ def _check_positive_ints(values, what: str) -> tuple:
             if v.denominator != 1:
                 raise ValidationError(f"{what} must be integers, got {v}")
             v = int(v)
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not _is_int(v):
             raise ValidationError(f"{what} must be integers, got {v!r}")
         if v <= 0:
             raise ValidationError(f"{what} must be positive, got {v}")
@@ -196,8 +196,8 @@ def approximate_root_semigroup(s: Semigroup, k: int) -> Semigroup:
     The root of index k has degree v0 / l_k and inherits the first k + 1
     generators scaled down by l_k.
     """
-    if not 0 <= k <= s.genus:
-        raise ValidationError(f"root index must lie in 0..{s.genus}, got {k}")
+    if not _is_int(k) or not 0 <= k <= s.genus:
+        raise ValidationError(f"root index must lie in 0..{s.genus}, got {k!r}")
     l_k = s.gcds[k]
     return Semigroup(tuple(v // l_k for v in s.generators[: k + 1]))
 
@@ -227,7 +227,7 @@ def approximate_root(f: BiPoly, p: int) -> BiPoly:
     if f.is_zero() or not f.is_monic_in_y():
         raise ValidationError("approximate roots need a polynomial monic in y")
     d = f.deg_y()
-    if not isinstance(p, int) or p < 1:
+    if not _is_int(p) or p < 1:
         raise ValidationError(f"root exponent must be a positive integer, got {p!r}")
     if d % p:
         raise ValidationError(f"root exponent {p} must divide the y-degree {d}")
@@ -314,33 +314,16 @@ def characteristic_roots(f: BiPoly) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _weight_splits(weight: int, gens, caps):
-    """All (a_0, ..., a_q) with sum a_i * gens[i] = weight, a_0 >= 1,
-    a_i <= caps[i] for i >= 1, ordered by how few non-x factors they use."""
-    out = []
-
-    def rec(i, remaining, chosen):
-        if i == 0:
-            a0, rem = divmod(remaining, gens[0])
-            if rem == 0 and a0 >= 1:
-                out.append((a0, *reversed(chosen)))
-            return
-        for a in range(min(caps[i], remaining // gens[i]) + 1):
-            rec(i - 1, remaining - a * gens[i], chosen + [a])
-
-    rec(len(gens) - 1, weight, [])
-    out.sort(key=lambda rep: (sum(rep[1:]), rep))
-    return out
-
-
 def build_test_branch(target: Semigroup) -> BiPoly:
     """A Weierstrass polynomial whose branch has exactly the given semigroup.
 
     Built stage by stage: each stage raises the previous equation to the
-    next ramification power and subtracts a monomial of matching weight in
-    x and the earlier stages.  Every stage is verified by recomputing its
-    semigroup, so the output is certified; raises ValidationError if no
-    deformation of this shape works.
+    next ramification power n_q and subtracts a monomial of the same weight
+    n_q * v_q in x and the earlier stages, x weighing v_0 and stage i - 1
+    weighing v_i.  The monomial is the one product
+    x^a_0 * stage_0^a_1 * ... with 0 <= a_i < n_i for i >= 1.  Every stage
+    is certified by recomputing its semigroup; raises ValidationError if
+    that fails.
     """
     gens = target.generators
     if target.genus == 0:
@@ -348,30 +331,27 @@ def build_test_branch(target: Semigroup) -> BiPoly:
     stages = [BiPoly.y()]
     ns = target.n_factors
     for q in range(1, target.genus + 1):
-        l_q = target.gcds[q]
         n_q = ns[q - 1]
-        expected = tuple(v // l_q for v in gens[: q + 1])
-        weight = n_q * gens[q]
-        caps = [0] + [ns[i] - 1 for i in range(q)]
-        built = None
-        for rep in _weight_splits(weight, gens[: q + 1], caps):
-            monomial = BiPoly.x(rep[0])
-            for i in range(1, q + 1):
-                if rep[i]:
-                    monomial = monomial * stages[i - 1] ** rep[i]
-            candidate = stages[q - 1] ** n_q - monomial
-            try:
-                stage = semigroup_of(candidate)
-            except ValidationError:
-                continue
-            if stage.generators == expected:
-                built = candidate
-                break
-        if built is None:
+        # top down: every generator below v_i is a multiple of l_(i-1), so
+        # the weight left modulo l_(i-1) fixes a_i modulo n_i, where v_i/l_i
+        # is a unit.  What is left for x is a multiple of v_0, and positive
+        # since v_(i+1) > n_i v_i bounds sum (n_i - 1) v_i over 0 < i < q
+        # by v_q - v_1; so a_0 >= 1
+        rest = n_q * gens[q]
+        monomial = BiPoly.one()
+        for i in range(q, 0, -1):
+            l_i, n_i = target.gcds[i], ns[i - 1]
+            a_i = rest // l_i * pow(gens[i] // l_i, -1, n_i) % n_i
+            if a_i:
+                rest -= a_i * gens[i]
+                monomial = monomial * stages[i - 1] ** a_i
+        candidate = stages[q - 1] ** n_q - BiPoly.x(rest // gens[0]) * monomial
+        expected = tuple(v // target.gcds[q] for v in gens[: q + 1])
+        if semigroup_of(candidate).generators != expected:
             raise ValidationError(
                 f"no normal form deformation realizes {target} at stage {q}"
             )
-        stages.append(built)
+        stages.append(candidate)
     return stages[-1]
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, inf, lcm
 
-from ._value import Value
+from ._value import Value, _rational
 from .errors import ValidationError
 from .poly import BiPoly
 
@@ -26,15 +26,6 @@ __all__ = [
     "minkowski_sum",
     "diagram_difference",
 ]
-
-
-def _rational(value, what: str, allowed: str) -> Fraction:
-    if isinstance(value, (float, bool)):
-        raise ValidationError(f"{what} must be {allowed}, got {type(value).__name__} {value!r}")
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"{what} must be {allowed}, got {value!r}") from exc
 
 
 def _frac_or_inf(value, what: str):
@@ -72,7 +63,7 @@ class ElementarySegment(Value):
         return self.length / self.height
 
     def scaled(self, factor) -> "ElementarySegment":
-        factor = Fraction(factor)
+        factor = _rational(factor, "scale factor", "rational")
         if factor <= 0:
             raise ValidationError("scale factor must be positive")
         # inf times a positive factor stays inf
@@ -224,7 +215,7 @@ class NewtonDiagram(Value):
         return diagram_difference(self, other)
 
     def scaled(self, factor) -> "NewtonDiagram":
-        factor = Fraction(factor)
+        factor = _rational(factor, "scale factor", "rational")
         return NewtonDiagram(
             [s.scaled(factor) for s in self.segments],
             (self.shift[0] * factor, self.shift[1] * factor),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._value import Value
+from ._value import Value, _is_int
 from .branch import Semigroup, approximate_root_semigroup
 from .diagram import ElementarySegment, NewtonDiagram
 from .errors import ValidationError
@@ -34,7 +34,7 @@ __all__ = [
 def _check_index(s: Semigroup, k: int):
     if s.genus == 0:
         raise ValidationError("a smooth branch has no approximate jacobian diagrams")
-    if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= s.genus - 1:
+    if not _is_int(k) or not 0 <= k <= s.genus - 1:
         raise ValidationError(f"diagram index must lie in 0..{s.genus - 1}, got {k!r}")
 
 
@@ -146,7 +146,7 @@ def family_from_json_dict(data):
         if not isinstance(entry, dict) or "k" not in entry:
             raise ValidationError("each family entry needs a diagram index 'k'")
         k = entry["k"]
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        if not _is_int(k) or k < 0:
             raise ValidationError(f"diagram index must be a nonnegative integer, got {k!r}")
         if k in by_k:
             raise ValidationError(f"duplicate diagram index k={k}")

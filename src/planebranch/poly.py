@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import inf, lcm
 
+from ._value import _is_int, _rational
 from .errors import ValidationError
 
 _RATIONAL_TYPES = (int, Fraction)
@@ -20,11 +21,9 @@ _RATIONAL_TYPES = (int, Fraction)
 def _coerce(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise ValidationError(f"coefficients must be rational, got {type(value).__name__}")
+    return _rational(value, "coefficients", "rational")
 
 
 class BiPoly:
@@ -40,7 +39,7 @@ class BiPoly:
         data = {}
         if terms:
             for (i, j), c in dict(terms).items():
-                if not (isinstance(i, int) and isinstance(j, int)) or i < 0 or j < 0:
+                if not (_is_int(i) and _is_int(j)) or i < 0 or j < 0:
                     raise ValidationError(f"exponents must be nonnegative integers, got ({i}, {j})")
                 c = _coerce(c)
                 if c:
@@ -170,8 +169,8 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BiPoly":
-        if not isinstance(n, int):
-            raise ValidationError("polynomial power must be an integer")
+        if not _is_int(n):
+            raise ValidationError(f"polynomial power must be an integer, got {n!r}")
         if n < 0:
             raise ValidationError("polynomial power must be nonnegative")
         result = BiPoly.one()

@@ -18,7 +18,7 @@ from contextlib import nullcontext
 from fractions import Fraction
 from math import ceil, comb, factorial, inf, lcm
 
-from ._value import Value
+from ._value import Value, _is_int, _rational
 from .branch import (
     _am_iteration,
     approximate_root_semigroup,
@@ -413,6 +413,13 @@ def _expand_bipoly(ctx, f: BiPoly, depth):
     return series
 
 
+def _positive_depth(depth) -> Fraction:
+    depth = _rational(depth, "expansion depth", "rational")
+    if depth <= 0:
+        raise ValidationError(f"expansion depth must be positive, got {depth}")
+    return depth
+
+
 def puiseux_expand(f: BiPoly, depth, min_bits: int = 53):
     """Puiseux roots of f through the origin, complete below the given depth.
 
@@ -423,9 +430,9 @@ def puiseux_expand(f: BiPoly, depth, min_bits: int = 53):
     through the rest of the ladder on any ambiguity; raises NumericError
     only when the top tier fails.
     """
-    depth = Fraction(depth)
-    if depth <= 0:
-        raise ValidationError(f"expansion depth must be positive, got {depth}")
+    depth = _positive_depth(depth)
+    if not _is_int(min_bits):
+        raise ValidationError(f"min_bits must be an integer, got {min_bits!r}")
     return _with_escalation(lambda ctx: _expand_bipoly(ctx, f, depth), min_bits)
 
 
@@ -487,7 +494,7 @@ def _root_contacts_deepening(f: BiPoly, h: BiPoly, depth, settled):
             values.append((max(v for v, _ in pairs), all(decided for _, decided in pairs)))
         return values
 
-    depths = [depth] if depth is not None else (4, 8, 16, 32, 64)
+    depths = [_positive_depth(depth)] if depth is not None else (4, 8, 16, 32, 64)
     bound = Fraction(0)
     for d in depths:
         values = _with_escalation(lambda ctx: worker(ctx, Fraction(d)))
@@ -508,6 +515,8 @@ def contact(f: BiPoly, h: BiPoly, partial: bool = False, depth=None):
     returns the best lower bound if partial is set and raises
     ContactUndecidableError otherwise.
     """
+    if depth is not None:
+        depth = _positive_depth(depth)
     if f == h and not f.is_zero():
         return inf
 
@@ -578,11 +587,18 @@ class ContactClass(Value):
         )
 
 
-def _decided_contact(ctx, a, b, what):
-    v, decided = _pair_contact(ctx, a, b)
-    if not decided:
-        raise _EscalationNeeded(f"{what}: contact undecided at bound {v}")
-    return v
+def _decided_contacts(ctx, rows, cols, what):
+    """Contact of each series in rows with each in cols, row by row; escalates
+    on the first pair whose contact is only a lower bound."""
+    matrix = []
+    for a in rows:
+        matrix.append([])
+        for b in cols:
+            v, decided = _pair_contact(ctx, a, b)
+            if not decided:
+                raise _EscalationNeeded(f"{what}: contact undecided at bound {v}")
+            matrix[-1].append(v)
+    return matrix
 
 
 def _int_or_escalate(value: Fraction, what: str) -> int:
@@ -590,14 +606,6 @@ def _int_or_escalate(value: Fraction, what: str) -> int:
     if value.denominator != 1:
         raise _EscalationNeeded(f"{what} summed to the non-integer {value}")
     return int(value)
-
-
-def _local_root_count(j1: BiPoly) -> int:
-    """Number of Puiseux roots of j1 through the origin, zero series included."""
-    at_zero = [j for (i, j) in j1.support() if i == 0]
-    if not at_zero:
-        raise ValidationError("polynomial vanishes on x = 0 after content removal")
-    return min(at_zero)
 
 
 class _Decomposition:
@@ -666,21 +674,15 @@ class _Decomposition:
         self.classes, self.jac_counts, self.self_contacts = _with_escalation(self._measure)
 
     def _measure(self, ctx):
-        b0 = self.exponents[0]
         sigma = _expand_bipoly(ctx, self.f, self.depth)
-        if len(sigma) != b0:
-            raise _EscalationNeeded(f"expected {b0} roots of f, got {len(sigma)}")
         classes, jac_counts = {}, {}
         for k in self.roots:
             classes[k], jac_counts[k] = self._classify(ctx, sigma, k)
         if not self.profile:
             return classes, jac_counts, None
         self_contacts = [
-            [
-                _decided_contact(ctx, sa, sb, "conjugate roots of f")
-                for b_idx, sb in enumerate(sigma)
-                if b_idx != a_idx
-            ]
+            _decided_contacts(ctx, [sa], sigma[:a_idx] + sigma[a_idx + 1:],
+                              "conjugate roots of f")[0]
             for a_idx, sa in enumerate(sigma)
         ]
         return classes, jac_counts, self_contacts
@@ -690,90 +692,47 @@ class _Decomposition:
         at contact b_(k+1)/b_0 or more with each root of f."""
         s, b = self.s, self.exponents
         b0 = b[0]
-        g = s.genus
         alpha, j1 = self.jacobians[k].x_content()
+        # _expand escalates unless it finds every root, so no count of
+        # sigma, sigma_k or gamma needs a check here
         sigma_k = _expand_bipoly(ctx, self.roots[k], self.depth)
         gamma = _expand_bipoly(ctx, j1, self.depth)
-        if len(sigma_k) != b0 // s.gcds[k]:
-            raise _EscalationNeeded(
-                f"expected {b0 // s.gcds[k]} roots of the approximate root"
-            )
-        expected_local = _local_root_count(j1)
-        if len(gamma) != expected_local:
-            raise _EscalationNeeded(
-                f"expected {expected_local} local jacobian roots, got {len(gamma)}"
-            )
         threshold = Fraction(b[k + 1], b0)
         if self.fk_given:
-            best = max(
-                _decided_contact(ctx, sp, so, "validating the supplied root")
-                for sp in sigma_k
-                for so in sigma
-            )
+            best = max(map(max, _decided_contacts(ctx, sigma_k, sigma,
+                                                  "validating the supplied root")))
             if best != threshold:
                 raise ValidationError(
                     f"supplied polynomial has contact {best} with the branch, "
                     f"expected {threshold}; it is not a curve of "
                     f"maximal contact of index {k}"
                 )
-        o_f = [
-            [_decided_contact(ctx, gm, so, "jacobian root against f") for so in sigma]
-            for gm in gamma
-        ]
-        o_fk = [
-            [_decided_contact(ctx, gm, sp, "jacobian root against the approximate root")
-             for sp in sigma_k]
-            for gm in gamma
-        ]
-        char_levels = {Fraction(b[i], b0): i for i in range(k + 2, g + 1)}
-        residual_members = []
-        deep_members = {i: [] for i in range(k + 2, g + 1)}
-        for idx, gm in enumerate(gamma):
-            tau = max(o_f[idx])
-            if tau < threshold:
-                residual_members.append(idx)
-            elif tau in char_levels:
-                deep_members[char_levels[tau]].append(idx)
-            else:
+        o_f = _decided_contacts(ctx, gamma, sigma, "jacobian root against f")
+        o_fk = _decided_contacts(ctx, gamma, sigma_k, "jacobian root against the approximate root")
+        # one class per key, in this order: None for the residual class, of
+        # contact below the threshold, then each deeper characteristic value
+        members = {None: [], **{Fraction(b[i], b0): [] for i in range(k + 2, s.genus + 1)}}
+        for idx, row in enumerate(o_f):
+            tau = max(row)
+            key = None if tau < threshold else tau
+            if key not in members:
                 raise _EscalationNeeded(
                     f"jacobian root has contact {tau} with the branch, which is "
                     f"neither below {threshold} nor a characteristic value"
                 )
+            members[key].append(idx)
         classes = []
-        l_k = s.gcds[k]
-        f_sum = alpha * Fraction(s.generators[0])
-        fk_sum = alpha * Fraction(b0, l_k)
-        for idx in residual_members:
-            f_sum += sum(o_f[idx])
-            fk_sum += sum(o_fk[idx])
-        classes.append(
-            ContactClass(
-                0,
-                None,
-                [gamma[i] for i in residual_members],
-                alpha,
-                _int_or_escalate(f_sum, "residual class length"),
-                _int_or_escalate(fk_sum, "residual class height"),
-            )
-        )
-        for pos, i in enumerate(sorted(deep_members), start=1):
-            members = deep_members[i]
-            f_sum = sum(sum(o_f[idx]) for idx in members)
-            fk_sum = sum(sum(o_fk[idx]) for idx in members)
-            classes.append(
-                ContactClass(
-                    pos,
-                    Fraction(b[i], b0),
-                    [gamma[idx] for idx in members],
-                    0,
-                    _int_or_escalate(f_sum, f"class length at contact {b[i]}/{b0}"),
-                    _int_or_escalate(fk_sum, f"class height at contact {b[i]}/{b0}"),
-                )
-            )
-        jac_counts = [
-            sum(1 for idx in range(len(gamma)) if o_f[idx][s_idx] >= threshold)
-            for s_idx in range(len(sigma))
-        ]
+        for pos, (key, idxs) in enumerate(members.items()):
+            # the residual class also takes the factor x^alpha of the jacobian
+            x_power = alpha if key is None else 0
+            what = "residual class {}" if key is None else f"class {{}} at contact {key * b0}/{b0}"
+            f_sum = x_power * s.generators[0] + sum(sum(o_f[i]) for i in idxs)
+            fk_sum = x_power * (b0 // s.gcds[k]) + sum(sum(o_fk[i]) for i in idxs)
+            classes.append(ContactClass(pos, key, [gamma[i] for i in idxs], x_power,
+                                        _int_or_escalate(f_sum, what.format("length")),
+                                        _int_or_escalate(fk_sum, what.format("height"))))
+        jac_counts = [sum(1 for row in o_f if row[s_idx] >= threshold)
+                      for s_idx in range(len(sigma))]
         return classes, jac_counts
 
 

@@ -107,6 +107,23 @@ def test_approximate_root_rejects_bad_input():
         approximate_root(2 * y(2) + x(), 2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: approximate_root(F2, True),
+        lambda: approximate_root(F2, 2.0),
+        lambda: approximate_root_semigroup(Semigroup((4, 6, 13)), True),
+        lambda: approximate_root_semigroup(Semigroup((4, 6, 13)), 0.5),
+        lambda: approximate_root_semigroup(Semigroup((4, 6, 13)), "1"),
+    ],
+    ids=["root exponent True", "root exponent 2.0", "root index True", "root index 0.5",
+         "root index string"],
+)
+def test_root_arguments_must_be_ints(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
 def test_characteristic_roots_frozen():
     assert characteristic_roots(F2) == [y(), parse_poly("y^2-x^3")]
     assert characteristic_roots(F1) == [y(), parse_poly("y^3-6*x^3*y-x^4")]
@@ -148,6 +165,19 @@ def test_build_test_branch_frozen():
     f = build_test_branch(genus3)
     assert f.deg_y() == 8
     assert semigroup_of(f) == genus3
+    # each stage subtracts the one monomial of its weight with exponents
+    # below the ramification drops
+    assert str(f) == (
+        "y^8 - 4*x^3*y^6 - 2*x^5*y^5 + 6*x^6*y^4 + 4*x^8*y^3 - 4*x^9*y^2 - 2*x^11*y "
+        "+ x^13 + x^12"
+    )
+    assert str(build_test_branch(Semigroup((8, 20, 42, 85)))) == (
+        "y^8 - 4*x^5*y^6 - 2*x^8*y^5 + 6*x^10*y^4 + 4*x^13*y^3 - 4*x^15*y^2 - 2*x^18*y "
+        "+ x^21 + x^20"
+    )
+    assert str(build_test_branch(Semigroup((9, 12, 40)))) == (
+        "y^9 - 3*x^4*y^6 + 3*x^8*y^3 - x^12*y - x^12"
+    )
 
 
 def test_random_semigroup_contract(rng):

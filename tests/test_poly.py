@@ -76,6 +76,37 @@ def test_pow_rejects_negative():
         y() ** -1
 
 
+# a bool is not the integer 1, and a coefficient string that does not
+# parse is invalid input like any other
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BiPoly({(0, 1): True}),
+        lambda: BiPoly({(True, 0): 1}),
+        lambda: BiPoly({(0, False): 1}),
+        lambda: BiPoly({(0, 0): "abc"}),
+        lambda: BiPoly({(0, 0): 0.5}),
+        lambda: y() ** True,
+        lambda: y() * True,
+        lambda: True * y(),
+        lambda: y() + True,
+        lambda: y().evaluate(True, 1),
+    ],
+    ids=["bool coefficient", "bool x-exponent", "bool y-exponent", "junk coefficient",
+         "float coefficient", "bool power", "times bool", "bool times", "plus bool",
+         "evaluate at bool"],
+)
+def test_bools_and_junk_are_not_numbers(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_exact_numbers_still_build_polynomials():
+    assert BiPoly({(0, 0): "3/2", (1, 0): Fraction(1, 2), (0, 1): 2}) == (
+        Fraction(3, 2) + Fraction(1, 2) * x() + 2 * y()
+    )
+
+
 def test_evaluate():
     f = (y(2) - x(3)) ** 2 - x(5) * y()
     assert f.evaluate(1, 1) == -1
@@ -148,6 +179,17 @@ def test_resultant_frozen_cases():
     # swapping arguments flips the sign by (-1)^(deg f * deg h)
     assert resultant_y(y(), y(2) - x(3)) == -x(3)
     assert resultant_y(y() + x(), y() - x()) == -2 * x()
+
+
+def test_resultant_with_a_y_constant_argument():
+    # a y-free argument h gives h^(deg_y of the other), in either order
+    half_x_plus_one = BiPoly({(1, 0): Fraction(1, 2), (0, 0): 1})
+    quarter = Fraction(1, 4) * x(2) + x() + 1
+    assert resultant_y(y(2) - x(3), half_x_plus_one) == quarter
+    assert resultant_y(half_x_plus_one, y(2) - x(3)) == quarter
+    cubic = 2 * y(3) - x()
+    assert resultant_y(cubic, x(2) + 3) == (x(2) + 3) ** 3
+    assert resultant_y(x(2) + 3, cubic) == (x(2) + 3) ** 3
 
 
 def test_resultant_matches_sylvester_oracle(rng):

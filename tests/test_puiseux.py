@@ -309,3 +309,99 @@ def test_decomposition_rejects_boolean_index():
         verify_decomposition(BRANCH_4_6_13, k=True)
     with pytest.raises(ValidationError, match="got False"):
         contact_classes(BRANCH_4_6_13, False)
+
+
+# the full verifier report and the contact classes of the two fixture
+# branches, names and details byte for byte; every check passes on both
+_REPORT_NAMES = [
+    "oracle diagram matches formula",
+    "conjugate contact profile",
+    "jacobian roots at deep contact",
+    "class sizes",
+    "x factor and zero roots stay residual",
+    "height total is mu_k + v_(k+1) - 1",
+    "length total is mu + v_(k+1) - 1",
+    "resultant length total",
+    "resultant height total",
+]
+_GOLDEN = [
+    (
+        BRANCH_4_6_13,
+        {
+            0: ["{8\\2} + {13\\3} vs {8\\2} + {13\\3}", "", "[2] vs 2", "", "",
+                "5 vs 5", "21 vs 21", "21 vs 21", "5 vs 5"],
+            1: ["{28\\14} vs {28\\14}", "", "[0] vs 0", "", "",
+                "14 vs 14", "28 vs 28", "28 vs 28", "14 vs 14"],
+        },
+        {
+            0: ["ContactClass(residual, roots=0, x_power=2, f=8, fk=2)",
+                "ContactClass(contact 7/4, roots=2, x_power=0, f=13, fk=3)"],
+            1: ["ContactClass(residual, roots=2, x_power=4, f=28, fk=14)"],
+        },
+    ),
+    (
+        BRANCH_6_8_27,
+        {
+            0: ["{18\\3} + {27\\4} vs {18\\3} + {27\\4}", "", "[3] vs 3", "", "",
+                "7 vs 7", "45 vs 45", "45 vs 45", "7 vs 7"],
+            1: ["{64\\32} vs {64\\32}", "", "[0] vs 0", "", "",
+                "32 vs 32", "64 vs 64", "64 vs 64", "32 vs 32"],
+        },
+        {
+            0: ["ContactClass(residual, roots=1, x_power=2, f=18, fk=3)",
+                "ContactClass(contact 11/6, roots=3, x_power=0, f=27, fk=4)"],
+            1: ["ContactClass(residual, roots=2, x_power=8, f=64, fk=32)"],
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("f, details, classes", _GOLDEN, ids=["4_6_13", "6_8_27"])
+def test_decomposition_report_and_classes_golden(f, details, classes):
+    expected = [
+        (f"k={k}: {name}", True, detail)
+        for k in (0, 1)
+        for name, detail in zip(_REPORT_NAMES, details[k])
+    ]
+    assert verify_decomposition(f) == expected
+    for k in (0, 1):
+        assert [repr(c) for c in contact_classes(f, k)] == classes[k]
+
+
+# every expansion depth and every scale factor goes through one rule: an
+# int, a Fraction or a string such as "3/2", never a float or a bool
+_RATIONAL_ARGUMENTS = {
+    "puiseux_expand": lambda v: puiseux_expand(CUSP, v),
+    "contact": lambda v: contact(CUSP, parse_poly("y"), depth=v),
+    "contact of a curve with itself": lambda v: contact(CUSP, CUSP, depth=v),
+    "root_contacts": lambda v: root_contacts(CUSP, parse_poly("y"), depth=v),
+    "verify_cycle": lambda v: verify_cycle(CUSP, depth=v),
+    "ElementarySegment.scaled": lambda v: E(1, 2).scaled(v),
+    "NewtonDiagram.scaled": lambda v: D([E(1, 2)], shift=(1, 0)).scaled(v),
+}
+
+
+@pytest.mark.parametrize(
+    "bad", ["abc", float("inf"), float("nan"), 0.1, 2.0, True, [2]],
+    ids=["abc", "inf", "nan", "0.1", "2.0", "True", "list"],
+)
+def test_rational_arguments_reject_floats_bools_and_junk(bad):
+    for name, call in _RATIONAL_ARGUMENTS.items():
+        with pytest.raises(ValidationError):
+            call(bad)
+
+
+def test_rational_arguments_accept_ints_fractions_and_strings():
+    assert E(1, 2).scaled("3/2") == E(1, 2).scaled(Fraction(3, 2)) == E(Fraction(3, 2), 3)
+    assert D([E(1, 2)]).scaled(2) == D([E(2, 4)])
+    for depth in (2, Fraction(5, 2), "7/4"):
+        assert len(puiseux_expand(CUSP, depth)) == 2
+        assert contact(CUSP, parse_poly("y"), depth=depth) == Fraction(3, 2)
+        assert root_contacts(CUSP, parse_poly("y"), depth=depth) == [Fraction(3, 2)]
+    assert len(verify_cycle(CUSP, depth="5/2")) == 4
+
+
+@pytest.mark.parametrize("bad", ["x", None, True, 128.0], ids=["x", "None", "True", "128.0"])
+def test_min_bits_must_be_an_int(bad):
+    with pytest.raises(ValidationError, match="min_bits"):
+        puiseux_expand(CUSP, 4, min_bits=bad)
