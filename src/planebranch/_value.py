@@ -1,7 +1,8 @@
-"""The base every immutable value class of the package derives from, and the
-rules for integer and rational arguments."""
+"""The base every immutable value class of the package derives from, the
+rules for integer and rational arguments, and the JSON form of a rational."""
 
 from fractions import Fraction
+from math import inf
 
 from .errors import ValidationError
 
@@ -20,6 +21,14 @@ def _rational(value, what: str, allowed: str) -> Fraction:
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"{what} must be {allowed}, got {value!r}") from exc
+
+
+def _num_to_json(v):
+    """An int or Fraction as JSON: an int when integral, else "p/q"; inf as "inf"."""
+    # type first: comparing a Fraction with a float is slow
+    if isinstance(v, float) and v == inf:
+        return "inf"
+    return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 class Value:

@@ -16,6 +16,7 @@ import shlex
 import sys
 from pathlib import Path
 
+from ._value import _num_to_json
 from .branch import (
     Semigroup,
     _am_iteration,
@@ -48,10 +49,6 @@ class _Parser(argparse.ArgumentParser):
     # the verification exit code; treat them as validation failures
     def error(self, message):
         raise ValidationError(message)
-
-
-def _num_json(v):
-    return int(v) if v.denominator == 1 else str(v)
 
 
 def _semigroup_flag(text: str) -> Semigroup:
@@ -145,7 +142,10 @@ def cmd_jnd(args) -> int:
     if args.svg:
         if len(ks) != 1:
             raise ValidationError("--svg needs a single --k value")
-        Path(args.svg).write_text(family.diagrams[ks[0]].render_svg())
+        try:
+            Path(args.svg).write_text(family.diagrams[ks[0]].render_svg())
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.svg}: {exc}")
 
     if args.json:
         payload = _family_payload(family, ks)
@@ -175,7 +175,7 @@ def cmd_invariants(args) -> int:
         print(json.dumps({
             "semigroup": list(s.generators),
             "invariants": [
-                {"k": k, "values": [_num_json(v) for v in values]} for k, values in rows
+                {"k": k, "values": [_num_to_json(v) for v in values]} for k, values in rows
             ],
         }))
     else:
@@ -187,7 +187,7 @@ def cmd_invariants(args) -> int:
 def cmd_recover(args) -> int:
     try:
         text = Path(args.family).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {args.family}: {exc}")
     try:
         data = json.loads(text)
@@ -295,7 +295,7 @@ def _fail(exc, code, json_mode) -> int:
 def _run_batch(path: str) -> int:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read batch file: {exc}", file=sys.stderr)
         return 1
     status = 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, inf, lcm
 
-from ._value import Value, _rational
+from ._value import Value, _num_to_json, _rational
 from .errors import ValidationError
 from .poly import BiPoly
 
@@ -114,13 +114,6 @@ def lower_hull(points):
     return hull
 
 
-def _num_to_json(v):
-    if v == inf:
-        return "inf"
-    v = Fraction(v)
-    return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
 class NewtonDiagram(Value):
     """A Newton diagram: monomial shift plus finite elementary segments.
 
@@ -216,6 +209,9 @@ class NewtonDiagram(Value):
 
     def scaled(self, factor) -> "NewtonDiagram":
         factor = _rational(factor, "scale factor", "rational")
+        # checked here too: a diagram without segments never reaches the segment check
+        if factor <= 0:
+            raise ValidationError("scale factor must be positive")
         return NewtonDiagram(
             [s.scaled(factor) for s in self.segments],
             (self.shift[0] * factor, self.shift[1] * factor),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._value import Value, _is_int
+from ._value import Value, _is_int, _num_to_json
 from .branch import Semigroup, approximate_root_semigroup
 from .diagram import ElementarySegment, NewtonDiagram
 from .errors import ValidationError
@@ -112,7 +112,7 @@ class JndFamily(Value):
     def to_json_dict(self) -> dict:
         diagrams = []
         for k, d in enumerate(self.diagrams):
-            segs = [[int(s.length), int(s.height)] for s in d.segments]
+            segs = [[_num_to_json(s.length), _num_to_json(s.height)] for s in d.segments]
             diagrams.append({"k": k, "segments": segs})
         return {"semigroup": list(self.semigroup.generators), "diagrams": diagrams}
 

@@ -7,11 +7,13 @@ Grammar, with whitespace free between tokens but never inside a number:
     factor   := base ('^' uint)?
     base     := '(' expr ')' | 'x' | 'y' | rational
     rational := uint ('/' uint)?
+    uint     := [0-9]+
 
 Multiplication is always explicit: ``2x`` is rejected, ``2*x`` is fine.
 ``parse_poly`` and ``str(BiPoly)`` round-trip exactly.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import PolyParseError
@@ -19,153 +21,110 @@ from .poly import BiPoly
 
 __all__ = ["parse_poly"]
 
-
-class _Token:
-    __slots__ = ("kind", "value", "line", "column")
-
-    def __init__(self, kind, value, line, column):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.column = column
-
-    def __repr__(self):
-        return f"_Token({self.kind!r}, {self.value!r})"
-
-
-_SINGLE = {"+", "-", "*", "^", "(", ")", "x", "y"}
-
-
-def _tokenize(text: str):
-    tokens = []
-    line, column = 1, 1
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            pos += 1
-            line += 1
-            column = 1
-            continue
-        if ch in " \t\r":
-            pos += 1
-            column += 1
-            continue
-        if ch in _SINGLE:
-            tokens.append(_Token(ch, ch, line, column))
-            pos += 1
-            column += 1
-            continue
-        if ch.isdigit():
-            start = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            # a slash binds into the number only when digits follow directly
-            if pos + 1 < n and text[pos] == "/" and text[pos + 1].isdigit():
-                pos += 1
-                while pos < n and text[pos].isdigit():
-                    pos += 1
-                num, den = text[start:pos].split("/")
-                if int(den) == 0:
-                    raise PolyParseError("zero denominator", line, column)
-                value = Fraction(int(num), int(den))
-            else:
-                value = Fraction(text[start:pos])
-            tokens.append(_Token("number", value, line, column))
-            column += pos - start
-            continue
-        raise PolyParseError(f"unexpected character {ch!r}", line, column)
-    tokens.append(_Token("end", None, line, column))
-    return tokens
+# Digits are ASCII only, as the printer writes them: str.isdigit would also
+# take '²' or '٣', which Fraction cannot read or reads as another digit.
+# Whitespace (space, tab, \r, \n) matches no group, so finditer steps over it.
+_TOKEN = re.compile(
+    r"(?P<number>[0-9]+(?:/[0-9]+)?)"  # a slash binds only when digits follow directly
+    r"|(?P<single>[-+*^()xy])"
+    r"|(?P<other>[^ \t\r\n])"
+)
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    def __init__(self, text):
+        self.text = text
+        self.tokens = []  # (kind, value, offset into text)
+        for m in _TOKEN.finditer(text):
+            kind, value, at = m.lastgroup, m.group(), m.start()
+            if kind == "other":
+                raise self.error(f"unexpected character {value!r}", at)
+            if kind == "number":
+                num, _, den = value.partition("/")
+                if den and int(den) == 0:
+                    raise self.error("zero denominator", at)
+                self.tokens.append((kind, Fraction(int(num), int(den or 1)), at))
+            else:
+                self.tokens.append((value, value, at))
+        self.tokens.append(("end", None, len(text)))
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message, at=None) -> PolyParseError:
+        if at is None:
+            at = self.tokens[self.pos][2]
+        line = self.text.count("\n", 0, at) + 1
+        column = at - (self.text.rfind("\n", 0, at) + 1) + 1
+        return PolyParseError(message, line, column)
 
-    def advance(self) -> _Token:
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
+
+    def advance(self):
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        raise PolyParseError(message, tok.line, tok.column)
-
-    def expect(self, kind) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"expected {kind!r}, found {tok.kind!r}")
-        return self.advance()
-
     def expr(self) -> BiPoly:
-        negate = False
-        if self.peek().kind == "-":
+        if self.peek() == "-":
             self.advance()
-            negate = True
-        result = self.term()
-        if negate:
-            result = -result
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
+            result = -self.term()
+        else:
+            result = self.term()
+        while self.peek() in ("+", "-"):
+            op = self.advance()[0]
             rhs = self.term()
-            result = result + rhs if op.kind == "+" else result - rhs
+            result = result + rhs if op == "+" else result - rhs
         return result
 
     def term(self) -> BiPoly:
         result = self.factor()
-        while self.peek().kind == "*":
+        while self.peek() == "*":
             self.advance()
             result = result * self.factor()
         return result
 
     def factor(self) -> BiPoly:
         base = self.base()
-        if self.peek().kind != "^":
+        if self.peek() != "^":
             return base
         self.advance()
-        tok = self.peek()
-        if tok.kind != "number" or tok.value.denominator != 1 or tok.value < 0:
-            self.fail("exponent must be a nonnegative integer", tok)
-        self.advance()
-        return base ** int(tok.value)
+        kind, value, at = self.advance()
+        if kind != "number" or value.denominator != 1:
+            raise self.error("exponent must be a nonnegative integer", at)
+        return base ** int(value)
 
     def base(self) -> BiPoly:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.advance()
+        kind, value, at = self.advance()
+        if kind == "(":
             inner = self.expr()
-            self.expect(")")
+            if self.peek() != ")":
+                raise self.error(f"expected ')', found {self.peek()!r}")
+            self.advance()
             return inner
-        if tok.kind == "x":
-            self.advance()
-            return BiPoly.x()
-        if tok.kind == "y":
-            self.advance()
-            return BiPoly.y()
-        if tok.kind == "number":
-            self.advance()
-            return BiPoly.constant(tok.value)
-        if tok.kind == "end":
-            self.fail("unexpected end of input", tok)
-        self.fail(f"unexpected {tok.kind!r}", tok)
+        if kind == "number":
+            return BiPoly.constant(value)
+        if kind in ("x", "y"):
+            return BiPoly.x() if kind == "x" else BiPoly.y()
+        message = "unexpected end of input" if kind == "end" else f"unexpected {kind!r}"
+        raise self.error(message, at)
 
 
 def parse_poly(text: str) -> BiPoly:
     """Parse the textual polynomial format into a BiPoly.
 
     Raises PolyParseError, carrying 1-based line and column, on any
-    malformed input, including trailing junk after a valid prefix.
+    malformed input, including trailing junk after a valid prefix and
+    parentheses nested deeper than the interpreter's recursion limit.
     """
-    parser = _Parser(_tokenize(text))
-    if parser.peek().kind == "end":
-        parser.fail("empty input")
-    result = parser.expr()
-    if parser.peek().kind != "end":
-        parser.fail(f"unexpected {parser.peek().kind!r} after expression")
+    parser = _Parser(text)
+    if parser.peek() == "end":
+        raise parser.error("empty input")
+    try:
+        result = parser.expr()
+    except RecursionError:
+        # pos may stand past the end token: point at the last token read
+        at = parser.tokens[parser.pos - 1][2]
+        raise parser.error("expression is nested too deeply", at) from None
+    if parser.peek() != "end":
+        raise parser.error(f"unexpected {parser.peek()!r} after expression")
     return result

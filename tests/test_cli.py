@@ -111,6 +111,15 @@ def test_jnd_svg(capsys, tmp_path):
     assert code == 1 and "single --k" in err
 
 
+def test_jnd_svg_unwritable(capsys, tmp_path):
+    target = str(tmp_path / "missing" / "d.svg")
+    code, out, err = run(capsys, "jnd", "--semigroup", "2,3", "--k", "0", "--svg", target)
+    assert code == 1 and out == "" and err.startswith(f"error: cannot write {target}")
+    code, _, err = run(capsys, "jnd", "--semigroup", "2,3", "--k", "0", "--svg", target, "--json")
+    assert code == 1 and json.loads(err)["error"] == "ValidationError"
+    assert "Traceback" not in err
+
+
 def test_invariants(capsys):
     code, out, _ = run(capsys, "invariants", "--semigroup", "4,6,13")
     assert code == 0
@@ -157,6 +166,16 @@ def test_recover_missing_file(capsys, tmp_path):
     bad.write_text("{")
     code, _, err = run(capsys, "recover", "--family", str(bad))
     assert code == 1 and "not valid JSON" in err
+
+
+def test_recover_file_not_utf8(capsys, tmp_path):
+    bad = tmp_path / "family.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, _, err = run(capsys, "recover", "--family", str(bad))
+    assert code == 1 and err.startswith(f"error: cannot read {bad}")
+    code, _, err = run(capsys, "recover", "--family", str(bad), "--json")
+    assert code == 1 and json.loads(err)["error"] == "ValidationError"
+    assert "Traceback" not in err
 
 
 def test_demo_noninjectivity(capsys):
@@ -238,3 +257,11 @@ def test_batch_reports_unbalanced_quote_and_continues(capsys, tmp_path):
 def test_batch_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "--batch", str(tmp_path / "none.txt"))
     assert code == 1
+
+
+def test_batch_file_not_utf8(capsys, tmp_path):
+    script = tmp_path / "tasks.txt"
+    script.write_bytes(b"\xff\xfesemigroup --f y\n")
+    code, out, err = run(capsys, "--batch", str(script))
+    assert code == 1 and out == "" and err.startswith("error: cannot read batch file")
+    assert "Traceback" not in err

@@ -189,6 +189,10 @@ def test_render_ascii_and_svg():
 def test_scaled():
     d = NewtonDiagram([E(4, 2)], shift=(1, 1))
     assert d.scaled(3) == NewtonDiagram([E(12, 6)], shift=(3, 3))
+    for bare in (d, NewtonDiagram([], (1, 1)), NewtonDiagram([])):
+        for factor in (0, -2):
+            with pytest.raises(ValidationError, match="scale factor must be positive"):
+                bare.scaled(factor)
 
 
 def test_sum_with_trivial_is_identity(rng):

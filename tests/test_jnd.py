@@ -7,6 +7,7 @@ import pytest
 
 from planebranch import (
     ElementarySegment,
+    JndFamily,
     NewtonDiagram,
     Semigroup,
     ValidationError,
@@ -115,6 +116,14 @@ def test_family_json_roundtrip_and_determinism():
     claimed, diagrams = family_from_json_dict(data)
     assert claimed == Semigroup((4, 6, 13))
     assert diagrams == list(fam.diagrams)
+
+
+def test_family_json_keeps_rational_segments():
+    fam = JndFamily(Semigroup((2, 3)), [D([E(Fraction(5, 2), 1)])])
+    data = json.loads(json.dumps(fam.to_json_dict()))
+    assert data["diagrams"] == [{"k": 0, "segments": [["5/2", 1]]}]
+    claimed, diagrams = family_from_json_dict(data)
+    assert claimed == fam.semigroup and diagrams == list(fam.diagrams)
 
 
 def test_family_json_rejects_partial_or_mismatched():

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from planebranch import BiPoly, PolyParseError, parse_poly
 
@@ -76,3 +78,76 @@ def test_error_positions():
     with pytest.raises(PolyParseError) as err:
         parse_poly("x ? y")
     assert (err.value.line, err.value.column) == (1, 3)
+
+
+# Full message, line and column of each rejection. Tabs and carriage
+# returns count as one column; a newline starts the next line.
+@pytest.mark.parametrize(
+    "text,message,line,column",
+    [
+        ("x +\n 2y", "unexpected 'y' after expression", 2, 3),
+        ("\tx ^ y", "exponent must be a nonnegative integer", 1, 6),
+        ("1 / 2", "unexpected character '/'", 1, 3),
+        ("2x", "unexpected 'x' after expression", 1, 2),
+        ("x^-2", "exponent must be a nonnegative integer", 1, 3),
+        ("x^(2)", "exponent must be a nonnegative integer", 1, 3),
+        ("x^1/2", "exponent must be a nonnegative integer", 1, 3),
+        ("x^", "exponent must be a nonnegative integer", 1, 3),
+        ("", "empty input", 1, 1),
+        ("   \n\t", "empty input", 2, 2),
+        ("x +", "unexpected end of input", 1, 4),
+        ("(x", "expected ')', found 'end'", 1, 3),
+        ("((x+y)", "expected ')', found 'end'", 1, 7),
+        ("x)", "unexpected ')' after expression", 1, 2),
+        ("1/0", "zero denominator", 1, 1),
+        ("x+3/00", "zero denominator", 1, 3),
+        ("x $ y", "unexpected character '$'", 1, 3),
+        ("x\f", "unexpected character '\\x0c'", 1, 2),
+        ("y^2-x^3\n+\n$", "unexpected character '$'", 3, 1),
+        ("x + * y", "unexpected '*'", 1, 5),
+        ("--x", "unexpected '-'", 1, 2),
+        ("()", "unexpected ')'", 1, 2),
+        ("x\r\n  *\r\n  )", "unexpected ')'", 3, 3),
+        ("12 34", "unexpected 'number' after expression", 1, 4),
+        ("x^2^3", "unexpected '^' after expression", 1, 4),
+        ("1/2/3", "unexpected character '/'", 1, 4),
+        ("(y^2-x^3)^2-x^5*y)", "unexpected ')' after expression", 1, 18),
+        ("x\n\n   + \t+", "unexpected '+'", 3, 7),
+    ],
+)
+def test_rejection_golden(text, message, line, column):
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(text)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize(
+    "text,message,line,column",
+    [
+        ("x^²", "unexpected character '²'", 1, 3),
+        ("y-x^٣", "unexpected character '٣'", 1, 5),
+        ("y^2\n-x^³", "unexpected character '³'", 2, 4),
+    ],
+)
+def test_digits_are_ascii(text, message, line, column):
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(text)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+
+
+def test_deep_nesting_is_a_parse_error():
+    assert parse_poly("(" * 200 + "y" + ")" * 200 + "^2-x^3") == y(2) - x(3)
+    with pytest.raises(PolyParseError, match="nested too deeply") as err:
+        parse_poly("(" * 250 + "y" + ")" * 250 + "^2-x^3")
+    assert err.value.line == 1 and 1 <= err.value.column <= 251
+
+
+@given(st.text(alphabet="xy0123+-*^()/ \n²٣$", max_size=8))
+def test_any_text_parses_or_raises_parse_error(text):
+    try:
+        result = parse_poly(text)
+    except PolyParseError as err:
+        assert err.line >= 1 and err.column >= 1
+    else:
+        assert isinstance(result, BiPoly)
