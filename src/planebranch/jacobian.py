@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._value import Value, _is_int, _num_to_json
+from ._value import Value, _is_int
 from .branch import Semigroup, approximate_root_semigroup
 from .diagram import ElementarySegment, NewtonDiagram
 from .errors import ValidationError
@@ -112,8 +112,11 @@ class JndFamily(Value):
     def to_json_dict(self) -> dict:
         diagrams = []
         for k, d in enumerate(self.diagrams):
-            segs = [[_num_to_json(s.length), _num_to_json(s.height)] for s in d.segments]
-            diagrams.append({"k": k, "segments": segs})
+            entry = {"k": k, **d.to_json_dict()}
+            if not any(d.shift):
+                # the closed formula never makes a shift, so its families omit it
+                del entry["shift"]
+            diagrams.append(entry)
         return {"semigroup": list(self.semigroup.generators), "diagrams": diagrams}
 
 
@@ -150,7 +153,7 @@ def family_from_json_dict(data):
             raise ValidationError(f"diagram index must be a nonnegative integer, got {k!r}")
         if k in by_k:
             raise ValidationError(f"duplicate diagram index k={k}")
-        by_k[k] = NewtonDiagram.from_json_dict({"segments": entry.get("segments", [])})
+        by_k[k] = NewtonDiagram.from_json_dict(entry)
     g = len(by_k)
     missing = [k for k in range(g) if k not in by_k]
     if missing:

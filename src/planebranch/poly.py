@@ -5,6 +5,11 @@ of the ring operations this module provides the y-resultant (subresultant
 polynomial remainder sequence), local intersection multiplicity at the
 origin, and the Milnor number, which are the exact backbone for everything
 else in the package.
+
+The resultant clears denominators and runs over Z[x].  Each Z[x]
+coefficient is a sparse dict {x-exponent: int}, so its cost follows the
+number of terms, not the x-degree: an x^(mu+2)*y tail or an exponent of
+10^12 adds a term, not a list of zeros.
 """
 
 from __future__ import annotations
@@ -280,129 +285,110 @@ def jacobian_det(g: BiPoly, f: BiPoly) -> BiPoly:
 
 
 # ---------------------------------------------------------------------------
-# Univariate integer polynomials in x (little-endian coefficient lists).
-# These back the resultant computation, where the y-coefficients live in Z[x]
-# after clearing denominators.
+# Univariate integer polynomials in x for the resultant, stored sparse as
+# {x-exponent: int} with no zero entries.  A y-polynomial over Z[x] is a list
+# of them indexed by y-power, with a nonzero last entry.
 # ---------------------------------------------------------------------------
 
 
-def _u_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _z_sub(p, q):
+    out = dict(p)
+    for i, c in q.items():
+        s = out.get(i, 0) - c
+        if s:
+            out[i] = s
+        else:
+            del out[i]
+    return out
 
 
-def _u_add(p, q):
-    n = max(len(p), len(q))
-    out = [0] * n
-    for idx, c in enumerate(p):
-        out[idx] = c
-    for idx, c in enumerate(q):
-        out[idx] += c
-    return _u_trim(out)
+def _z_mul(p, q):
+    if len(p) > len(q):
+        p, q = q, p
+    out = {}
+    for a, ca in p.items():
+        for b, cb in q.items():
+            k = a + b
+            out[k] = out.get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
 
 
-def _u_neg(p):
-    return [-c for c in p]
-
-
-def _u_mul(p, q):
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for a, ca in enumerate(p):
-        if ca:
-            for b, cb in enumerate(q):
-                if cb:
-                    out[a + b] += ca * cb
-    return _u_trim(out)
-
-
-def _u_pow(p, n):
-    result = [1]
+def _z_pow(p, n):
+    result = {0: 1}
     base = p
     while n:
         if n & 1:
-            result = _u_mul(result, base)
+            result = _z_mul(result, base)
         n >>= 1
         if n:
-            base = _u_mul(base, base)
+            base = _z_mul(base, base)
     return result
 
 
-def _u_exact_div(num, den):
-    """Exact division in Z[x]; raises if the quotient is not integral."""
+def _z_div(num, den):
+    """Exact division in Z[x] by long division from the top exponent.
+
+    Raises ArithmeticError unless den divides num in Z[x].
+    """
     if not den:
         raise ZeroDivisionError("division by zero polynomial")
-    if not num:
-        return []
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    out = [0] * (len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k]
-        if c == 0:
-            continue
-        q, r = divmod(c, lead)
-        if r:
+    top = max(den)
+    lead = den[top]
+    rem = dict(num)
+    out = {}
+    while rem:
+        k = max(rem)
+        q, r = divmod(rem[k], lead)
+        if r or k < top:
             raise ArithmeticError("inexact division in subresultant sequence")
-        out[k - dd] = q
-        for idx in range(dd + 1):
-            num[k - dd + idx] -= q * den[idx]
-    if any(num):
-        raise ArithmeticError("inexact division in subresultant sequence")
-    return _u_trim(out)
+        shift = k - top
+        out[shift] = q
+        for i, c in den.items():
+            i += shift
+            s = rem.get(i, 0) - q * c
+            if s:
+                rem[i] = s
+            else:
+                del rem[i]
+    return out
 
 
-# y-polynomials over Z[x]: lists indexed by y power, entries are x-coefficient lists.
-
-
-def _yp_trim(A):
+def _trim(A):
     while A and not A[-1]:
         A.pop()
     return A
 
 
-def _yp_deg(A):
-    return len(A) - 1
-
-
 def _yp_prem(A, B):
     """Pseudo-remainder of A by B: lc(B)^(deg A - deg B + 1) A mod B."""
-    dB = _yp_deg(B)
+    dB = len(B) - 1
     lb = B[dB]
-    R = [list(c) for c in A]
-    dR = _yp_deg(R)
-    e = dR - dB + 1
-    while R and _yp_deg(R) >= dB:
-        dR = _yp_deg(R)
-        lr = R[dR]
-        shift = dR - dB
-        new = [_u_mul(lb, c) for c in R]
-        for t in range(dB + 1):
-            new[t + shift] = _u_add(new[t + shift], _u_neg(_u_mul(lr, B[t])))
-        R = _yp_trim(new)
+    R = list(A)
+    e = len(R) - dB
+    while len(R) > dB:
+        # the top term cancels by construction, so it is dropped, not computed
+        lr = R.pop()
+        shift = len(R) - dB
+        R = [_z_mul(lb, c) for c in R]
+        for t in range(dB):
+            R[t + shift] = _z_sub(R[t + shift], _z_mul(lr, B[t]))
+        _trim(R)
         e -= 1
     if e > 0:
-        scale = _u_pow(lb, e)
-        R = [_u_mul(scale, c) for c in R]
+        scale = _z_pow(lb, e)
+        R = [_z_mul(scale, c) for c in R]
     return R
 
 
 def _clear_denominators(f: BiPoly):
     """Return (coeffs, den): coeffs[j] is the x-polynomial of y^j in den*f, over Z."""
     den = 1
-    for _, c in f._terms.items():
+    for c in f._terms.values():
         den = lcm(den, c.denominator)
-    n = f.deg_y()
-    coeffs = [[] for _ in range(n + 1)]
+    coeffs = [{} for _ in range(f.deg_y() + 1)]
     for (i, j), c in f._terms.items():
-        col = coeffs[j]
-        if len(col) <= i:
-            col.extend([0] * (i + 1 - len(col)))
-        col[i] = int(c * den)
-    return [_u_trim(c) for c in coeffs], den
+        coeffs[j][i] = c.numerator * (den // c.denominator)
+    return coeffs, den
 
 
 def resultant_y(f: BiPoly, h: BiPoly) -> BiPoly:
@@ -419,38 +405,35 @@ def resultant_y(f: BiPoly, h: BiPoly) -> BiPoly:
         raise ValidationError("resultant_y needs y-degree >= 1 in at least one argument")
     A, dena = _clear_denominators(f)
     B, denb = _clear_denominators(h)
-    correction = Fraction(1, dena**dh * denb**df)
-    sign = 1
-    if _yp_deg(A) < _yp_deg(B):
+    scale = Fraction(1, dena**dh * denb**df)
+    if df < dh:
         A, B = B, A
-        if (_yp_deg(A) * _yp_deg(B)) % 2 == 1:
-            sign = -sign
-    if _yp_deg(B) == 0:
-        res = _u_pow(B[0], _yp_deg(A))
-        return _from_u(res, Fraction(sign) * correction)
-    g = [1]
-    hpow = [1]
-    while _yp_deg(B) > 0:
-        dA, dB = _yp_deg(A), _yp_deg(B)
+        if df * dh % 2 == 1:
+            scale = -scale
+    if len(B) == 1:
+        return _from_z(_z_pow(B[0], len(A) - 1), scale)
+    g = {0: 1}
+    hpow = {0: 1}
+    while len(B) > 1:
+        dA, dB = len(A) - 1, len(B) - 1
         delta = dA - dB
         if dA % 2 == 1 and dB % 2 == 1:
-            sign = -sign
+            scale = -scale
         R = _yp_prem(A, B)
         if not R:
             return BiPoly.zero()
-        divisor = _u_mul(g, _u_pow(hpow, delta))
+        divisor = _z_mul(g, _z_pow(hpow, delta))
         A = B
-        B = _yp_trim([_u_exact_div(c, divisor) for c in R])
-        g = A[_yp_deg(A)]
+        B = _trim([_z_div(c, divisor) for c in R])
+        g = A[-1]
         if delta > 0:
-            hpow = _u_exact_div(_u_pow(g, delta), _u_pow(hpow, delta - 1))
-    dA = _yp_deg(A)
-    final = _u_exact_div(_u_pow(B[0], dA), _u_pow(hpow, dA - 1))
-    return _from_u(final, Fraction(sign) * correction)
+            hpow = _z_div(_z_pow(g, delta), _z_pow(hpow, delta - 1))
+    dA = len(A) - 1
+    return _from_z(_z_div(_z_pow(B[0], dA), _z_pow(hpow, dA - 1)), scale)
 
 
-def _from_u(coeffs, scale: Fraction) -> BiPoly:
-    return _raw({(i, 0): c * scale for i, c in enumerate(coeffs) if c})
+def _from_z(p, scale: Fraction) -> BiPoly:
+    return _raw({(i, 0): c * scale for i, c in p.items()})
 
 
 # ---------------------------------------------------------------------------

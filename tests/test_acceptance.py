@@ -11,6 +11,7 @@ from fractions import Fraction
 import conftest
 
 from planebranch import (
+    BiPoly,
     CharSequence,
     ElementarySegment,
     NewtonDiagram,
@@ -122,12 +123,18 @@ def test_difference_identity():
 
 def test_jacobian_pairing_identity_on_fixtures():
     problems = []
+    branch_8_12_26_53 = build_test_branch(Semigroup((8, 12, 26, 53)))
     fixtures = [
         BRANCH_4_6_13,
         BRANCH_6_8_27,
         BRANCH_6_8_27_VARIANT,
-        build_test_branch(Semigroup((8, 12, 26, 53))),
+        branch_8_12_26_53,
     ]
+    # an x^(mu+2)*y tail keeps the semigroup but spreads the resultants'
+    # Z[x] coefficients over x-degrees in the hundreds and thousands
+    for f in (BRANCH_4_6_13, BRANCH_6_8_27, branch_8_12_26_53):
+        mu = milnor_from_semigroup(semigroup_of(f))
+        fixtures.append(f + BiPoly.monomial(1, mu + 2, 1))
     for f in fixtures:
         s = semigroup_of(f)
         roots = characteristic_roots(f)

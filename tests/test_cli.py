@@ -93,6 +93,29 @@ def test_jnd_verify_runs_the_am_iteration_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+# a tail far above the Milnor number changes nothing, and its exponent must
+# cost no memory: the resultants keep only the terms that are there
+HUGE_TAIL = "y^2-x^3+x^1000000000000*y"
+
+
+def test_huge_exponent_semigroup(capsys):
+    code, out, err = run(capsys, "semigroup", "--f", HUGE_TAIL)
+    assert code == 0 and "<2, 3>" in out and "milnor number:  2" in out
+    assert "Traceback" not in err
+
+
+def test_huge_exponent_roots(capsys):
+    code, out, err = run(capsys, "roots", "--f", HUGE_TAIL)
+    assert code == 0 and out.splitlines() == ["k=0: y + 1/2*x^1000000000000"]
+    assert "Traceback" not in err
+
+
+def test_huge_exponent_jnd_verify(capsys):
+    code, out, _ = run(capsys, "jnd", "--f", HUGE_TAIL, "--verify")
+    assert code == 0 and "k=0: {4\\2}" in out
+    assert "[ok]" in out and "FAIL" not in out
+
+
 def test_jnd_flag_conflicts(capsys):
     code, _, err = run(capsys, "jnd", "--semigroup", "4,6,13", "--f", F2)
     assert code == 1 and "exactly one" in err

@@ -126,6 +126,18 @@ def test_family_json_keeps_rational_segments():
     assert claimed == fam.semigroup and diagrams == list(fam.diagrams)
 
 
+def test_family_json_keeps_shift():
+    fam = JndFamily(Semigroup((2, 3)), [D([E(1, 1)], (1, 0))])
+    data = json.loads(json.dumps(fam.to_json_dict()))
+    assert data["diagrams"] == [{"k": 0, "shift": [1, 0], "segments": [[1, 1]]}]
+    claimed, diagrams = family_from_json_dict(data)
+    assert claimed == fam.semigroup and diagrams == list(fam.diagrams)
+    assert str(diagrams[0]) == "{1\\inf} + {1\\1}"
+    # the monomial factor survives, so recovery names it instead of the inclination
+    with pytest.raises(ValidationError, match="monomial factor"):
+        recovery_data(diagrams)
+
+
 def test_family_json_rejects_partial_or_mismatched():
     fam = jnd_family(Semigroup((4, 6, 13))).to_json_dict()
     with pytest.raises(ValidationError, match="truncat"):

@@ -199,6 +199,32 @@ def test_resultant_matches_sylvester_oracle(rng):
         assert resultant_y(f, h) == sylvester_resultant(f, h), (f, h)
 
 
+def _sparse_poly(rng):
+    # y-degree 1 or 2, at most two terms per y-power, x-exponents scattered over 0..12
+    dy = rng.randint(1, 2)
+    terms = {}
+    for j in range(dy + 1):
+        for i in rng.sample(range(13), rng.randint(1 if j == dy else 0, 2)):
+            terms[(i, j)] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 3))
+    return BiPoly(terms)
+
+
+def _stretch(p, n):
+    # substitute x -> x^n
+    return BiPoly({(i * n, j): c for (i, j), c in p.terms()})
+
+
+def test_resultant_of_gapped_pairs_matches_sylvester_oracle(rng):
+    for _ in range(20):
+        f, h = _sparse_poly(rng), _sparse_poly(rng)
+        res = resultant_y(f, h)
+        assert res == sylvester_resultant(f, h), (f, h)
+        # the resultant commutes with x -> x^n, and an exponent costs
+        # nothing however large it is
+        n = 10**12
+        assert resultant_y(_stretch(f, n), _stretch(h, n)) == _stretch(res, n), (f, h)
+
+
 def test_resultant_multiplicative(rng):
     for _ in range(25):
         f = rand_poly(rng, max_deg=2, min_y_deg=1)
