@@ -2,7 +2,6 @@
 rules for integer and rational arguments, and the JSON form of a rational."""
 
 from fractions import Fraction
-from math import inf
 
 from .errors import ValidationError
 
@@ -24,10 +23,7 @@ def _rational(value, what: str, allowed: str) -> Fraction:
 
 
 def _num_to_json(v):
-    """An int or Fraction as JSON: an int when integral, else "p/q"; inf as "inf"."""
-    # type first: comparing a Fraction with a float is slow
-    if isinstance(v, float) and v == inf:
-        return "inf"
+    """An int or Fraction as JSON: an int when integral, else "p/q"."""
     return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 

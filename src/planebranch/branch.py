@@ -43,10 +43,6 @@ def _gcd_chain(values) -> tuple:
 def _check_positive_ints(values, what: str) -> tuple:
     out = []
     for v in values:
-        if isinstance(v, Fraction):
-            if v.denominator != 1:
-                raise ValidationError(f"{what} must be integers, got {v}")
-            v = int(v)
         if not _is_int(v):
             raise ValidationError(f"{what} must be integers, got {v!r}")
         if v <= 0:
@@ -231,8 +227,6 @@ def approximate_root(f: BiPoly, p: int) -> BiPoly:
         raise ValidationError(f"root exponent must be a positive integer, got {p!r}")
     if d % p:
         raise ValidationError(f"root exponent {p} must divide the y-degree {d}")
-    if p == 1:
-        return f
     m = d // p
     g = BiPoly.y(m)
     inv_p = Fraction(1, p)
@@ -240,8 +234,6 @@ def approximate_root(f: BiPoly, p: int) -> BiPoly:
         power = g**p
         target = d - j
         delta = f.y_coefficient(target) - power.y_coefficient(target)
-        if delta.is_zero():
-            continue
         g = g + (delta * inv_p).shift_y(m - j)
     return g
 
@@ -326,8 +318,6 @@ def build_test_branch(target: Semigroup) -> BiPoly:
     that fails.
     """
     gens = target.generators
-    if target.genus == 0:
-        return BiPoly.y()
     stages = [BiPoly.y()]
     ns = target.n_factors
     for q in range(1, target.genus + 1):

@@ -52,8 +52,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _semigroup_flag(text: str) -> Semigroup:
+    # ASCII digits only; int() itself still raises past its digit limit
+    parts = [part.strip() for part in text.split(",")]
     try:
-        gens = tuple(int(part) for part in text.split(","))
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise ValueError(text)
+        gens = tuple(int(part) for part in parts)
     except ValueError:
         raise ValidationError(f"cannot read semigroup {text!r}: expected v0,v1,...")
     return Semigroup(gens)
@@ -62,8 +66,11 @@ def _semigroup_flag(text: str) -> Semigroup:
 def _k_range(text: str, genus: int):
     if text == "all":
         return list(range(genus))
+    digits = text.strip()
     try:
-        k = int(text)
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(text)
+        k = int(digits)
     except ValueError:
         raise ValidationError(f"--k must be an integer or 'all', got {text!r}")
     if not 0 <= k < genus:
@@ -81,8 +88,6 @@ def _print_diagrams(family, ks):
 
 def _family_payload(family, ks):
     full = family.to_json_dict()
-    if len(ks) == family.semigroup.genus:
-        return full
     return {
         "semigroup": full["semigroup"],
         "diagrams": [full["diagrams"][k] for k in ks],
@@ -133,15 +138,14 @@ def cmd_jnd(args) -> int:
         s = _semigroup_flag(args.semigroup)
     family = jnd_family(s)
     ks = _k_range(args.k, s.genus)
+    if args.svg and len(ks) != 1:
+        raise ValidationError("--svg needs a single --k value")
 
     report = None
     if args.verify:
-        which = None if args.k == "all" else [ks[0]]
-        report = _decomposition_report(_Decomposition(f, which, profile=True, am=am))
+        report = _decomposition_report(_Decomposition(f, ks, profile=True, am=am))
 
     if args.svg:
-        if len(ks) != 1:
-            raise ValidationError("--svg needs a single --k value")
         try:
             Path(args.svg).write_text(family.diagrams[ks[0]].render_svg())
         except OSError as exc:
@@ -157,9 +161,9 @@ def cmd_jnd(args) -> int:
         return 0
     _print_diagrams(family, ks)
     if report is not None:
-        for name, ok, detail in report:
-            mark = "ok" if ok else "FAIL"
-            print(f"[{mark}] {name}" + (f": {detail}" if detail else ""))
+        # _decomposition_report raises on any failed check
+        for name, _, detail in report:
+            print(f"[ok] {name}" + (f": {detail}" if detail else ""))
     if args.svg:
         print(f"wrote {args.svg}")
     return 0

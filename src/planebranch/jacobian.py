@@ -68,13 +68,7 @@ def jacobian_invariants(s: Semigroup, k: int) -> tuple:
     These are the polar invariants of the root pair: l_k first, then
     l_{i-1} v_i / v_{k+1} for each deeper characteristic index i.
     """
-    _check_index(s, k)
-    v = s.generators
-    l = s.gcds
-    out = [Fraction(l[k])]
-    for i in range(k + 2, s.genus + 1):
-        out.append(Fraction(l[i - 1] * v[i], v[k + 1]))
-    return tuple(out)
+    return tuple(seg.inclination for seg in jnd_formula(s, k).segments)
 
 
 class JndFamily(Value):
@@ -185,8 +179,6 @@ class RecoveryData(Value):
 
 
 def _as_diagrams(family):
-    if isinstance(family, JndFamily):
-        return list(family.diagrams)
     out = []
     for d in family:
         if not isinstance(d, NewtonDiagram):

@@ -153,12 +153,8 @@ class BiPoly:
         return other - self
 
     def __mul__(self, other) -> "BiPoly":
-        if isinstance(other, _RATIONAL_TYPES):
-            c = _coerce(other)
-            if not c:
-                return BiPoly.zero()
-            return _raw({k: v * c for k, v in self._terms.items()})
-        if not isinstance(other, BiPoly):
+        other = _as_poly(other)
+        if other is NotImplemented:
             return NotImplemented
         data = {}
         for (i1, j1), c1 in self._terms.items():
@@ -410,8 +406,6 @@ def resultant_y(f: BiPoly, h: BiPoly) -> BiPoly:
         A, B = B, A
         if df * dh % 2 == 1:
             scale = -scale
-    if len(B) == 1:
-        return _from_z(_z_pow(B[0], len(A) - 1), scale)
     g = {0: 1}
     hpow = {0: 1}
     while len(B) > 1:

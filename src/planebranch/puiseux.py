@@ -321,11 +321,7 @@ def _expand(ctx, F, den, depth, truncated=False):
     degree = max(j for _, j in F)
     if degree == 0:
         return out
-    level = {}
-    for (e, j), c in F.items():
-        if j not in level or e < level[j]:
-            level[j] = e
-    hull = lower_hull(sorted(level.items()))
+    hull = lower_hull((j, e) for e, j in F)
     expected = hull[-1][0]
     limit = ceil(depth * expected * den)
     kept = {key: c for key, c in F.items() if key[0] < limit}
@@ -405,8 +401,6 @@ def _expand_bipoly(ctx, f: BiPoly, depth):
     if f.is_zero():
         raise ValidationError("cannot expand the zero polynomial")
     _, f1 = f.x_content()
-    if f1.deg_y() == 0:
-        return []
     tails = _expand(ctx, _poly_data(ctx, f1), 1, depth)
     series = [PuiseuxSeries(terms, trunc, ctx) for terms, trunc in tails]
     series.sort(key=_sort_key)
@@ -751,7 +745,7 @@ def _oracle_diagram(classes) -> NewtonDiagram:
                 f"degenerate contact class with intersections "
                 f"({cls.f_intersection}, {cls.fk_intersection})"
             )
-        segments.append(ElementarySegment(cls.f_intersection, cls.fk_intersection))
+        segments.append(cls.segment())
     for a, b in zip(segments, segments[1:]):
         if a.inclination >= b.inclination:
             raise VerificationError(

@@ -1,5 +1,7 @@
 """Semigroups, characteristic sequences, approximate roots."""
 
+from fractions import Fraction
+
 import pytest
 
 from oracles import conductor_by_gaps
@@ -48,6 +50,8 @@ def test_semigroup_validation():
         Semigroup((4, 6, 11))  # 11 < 2*6 breaks the growth condition
     with pytest.raises(ValidationError):
         Semigroup((0, 3))
+    with pytest.raises(ValidationError):
+        Semigroup((Fraction(4), Fraction(6), 13))  # generators are ints
 
 
 def test_char_sequence_validation():
@@ -56,6 +60,8 @@ def test_char_sequence_validation():
         CharSequence((4, 6, 8))  # gcd chain must reach 1
     with pytest.raises(ValidationError):
         CharSequence((4, 7, 6))
+    with pytest.raises(ValidationError):
+        CharSequence((Fraction(4), 6, 7))  # exponents are ints
 
 
 def test_char_semigroup_frozen_pairs():

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from planebranch import branch
+from planebranch import branch, cli
 from planebranch.cli import main
 
 F2 = "(y^2-x^3)^2-x^5*y"
@@ -134,6 +134,15 @@ def test_jnd_svg(capsys, tmp_path):
     assert code == 1 and "single --k" in err
 
 
+def test_jnd_svg_needs_one_k_before_any_verification(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_decomposition_report", lambda dec: calls.append(dec) or [])
+    target = tmp_path / "d.svg"
+    code, out, err = run(capsys, "jnd", "--f", F2, "--verify", "--svg", str(target))
+    assert code == 1 and "single --k" in err and out == ""
+    assert calls == [] and not target.exists()
+
+
 def test_jnd_svg_unwritable(capsys, tmp_path):
     target = str(tmp_path / "missing" / "d.svg")
     code, out, err = run(capsys, "jnd", "--semigroup", "2,3", "--k", "0", "--svg", target)
@@ -152,6 +161,20 @@ def test_invariants(capsys):
         "semigroup": [4, 6, 13],
         "invariants": [{"k": 0, "values": [4, "13/3"]}, {"k": 1, "values": [2]}],
     }
+
+
+def test_integer_flags_take_ascii_digits_only(capsys):
+    code, out, _ = run(capsys, "invariants", "--semigroup", " 4, 6 ,13 ", "--k", " 1 ")
+    assert code == 0 and out.splitlines() == ["k=1: 2"]
+    bad = ("\u0664,\u0666,\u0661\u0663", " 4, 6 ,1_3", "4,6,+13", "4,,13", "4,6," + "1" * 5000)
+    for semigroup in bad:
+        code, out, err = run(capsys, "jnd", "--semigroup", semigroup)
+        assert code == 1 and out == "" and "cannot read semigroup" in err
+        assert "Traceback" not in err
+    for k in ("\u0661", "1_0", "-1", "+1", "", "1" * 5000):
+        code, out, err = run(capsys, "invariants", "--semigroup", "4,6,13", "--k", k)
+        assert code == 1 and out == "" and "--k must be an integer" in err
+        assert "Traceback" not in err
 
 
 def test_recover_roundtrip(capsys, tmp_path):

@@ -171,8 +171,9 @@ def test_recovery_certifies_against_forward_formula():
     tampered = [fam.diagrams[0], D([E(30, 15)])]
     with pytest.raises(ValidationError):
         recover_semigroup(tampered)
-    with pytest.raises(ValidationError):
-        recover_semigroup([])
+    for empty in ([], JndFamily(Semigroup((1,)), ())):
+        with pytest.raises(ValidationError):
+            recover_semigroup(empty)
 
 
 def test_recovery_roundtrip(rng):

@@ -54,7 +54,9 @@ def test_expansion_input_validation():
 
 
 def test_expansion_ignores_roots_away_from_origin():
-    assert puiseux_expand(parse_poly("y^2-1"), 4) == []
+    # a pure x power, times a unit or not, has no root y -> 0 at all
+    for f in ("y^2-1", "x^3", "x^2*(1+x)"):
+        assert puiseux_expand(parse_poly(f), 4) == []
 
 
 def test_fourfold_edge_root_is_resolved():
