@@ -3,9 +3,11 @@
 Everything here deliberately avoids the code paths under test: the
 resultant goes through evaluated Sylvester determinants plus Lagrange
 interpolation, the hull through support-direction minimisation, the
-Milnor number through brute-force gap counting in the semigroup.
+Milnor number through brute-force gap counting in the semigroup, the
+polar invariants through their closed formula on the generators.
 """
 
+import math
 from fractions import Fraction
 
 from planebranch.poly import BiPoly
@@ -136,3 +138,20 @@ def conductor_by_gaps(generators):
         c -= 1
     gaps = sum(1 for value in range(c) if not reachable[value])
     return c, gaps
+
+
+def polar_invariants(generators, k):
+    """Polar invariants of the root pair (f^(k), f) from the generators.
+
+    l_k first, then l_{i-1} v_i / v_{k+1} for each deeper characteristic
+    index i, where l_i = gcd(v_0, ..., v_i).  Written from the formula
+    alone, not from the diagram segments.
+    """
+    v = list(generators)
+    l = [v[0]]
+    for gen in v[1:]:
+        l.append(math.gcd(l[-1], gen))
+    out = [Fraction(l[k])]
+    for i in range(k + 2, len(v)):
+        out.append(Fraction(l[i - 1] * v[i], v[k + 1]))
+    return tuple(out)
