@@ -38,7 +38,7 @@ for k, root in enumerate(characteristic_roots(f)):
     print(f"approximate root k={k}:", root)
 
 # any valid semigroup can be realised by a staged deformation tower;
-# each stage is certified by recomputing its semigroup
+# the equation it returns is certified by recomputing its semigroup
 target = semigroup_of(parse_poly("(y^3-x^4)^2-x^7*y"))
 print("\nrebuilding a branch for", target)
 g = build_test_branch(target)

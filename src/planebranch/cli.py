@@ -19,7 +19,6 @@ from pathlib import Path
 from ._value import _num_to_json
 from .branch import (
     Semigroup,
-    _am_iteration,
     characteristic_roots,
     semigroup_of,
     semigroup_to_char,
@@ -39,7 +38,7 @@ from .jacobian import (
     recovery_data,
 )
 from .parsing import parse_poly
-from .puiseux import _Decomposition, _decomposition_report
+from .puiseux import verify_decomposition
 
 __all__ = ["main", "build_parser"]
 
@@ -131,9 +130,7 @@ def cmd_jnd(args) -> int:
         raise ValidationError("--verify needs --f, the formula alone has no curve to check")
     if args.f is not None:
         f = parse_poly(args.f)
-        # --verify reuses this Abhyankar-Moh run instead of repeating it
-        am = _am_iteration(f)
-        s = am[0]
+        s = semigroup_of(f)
     else:
         s = _semigroup_flag(args.semigroup)
     family = jnd_family(s)
@@ -143,7 +140,7 @@ def cmd_jnd(args) -> int:
 
     report = None
     if args.verify:
-        report = _decomposition_report(_Decomposition(f, ks, profile=True, am=am))
+        report = verify_decomposition(f, None if args.k == "all" else ks[0])
 
     if args.svg:
         try:
@@ -161,7 +158,7 @@ def cmd_jnd(args) -> int:
         return 0
     _print_diagrams(family, ks)
     if report is not None:
-        # _decomposition_report raises on any failed check
+        # verify_decomposition raises on any failed check
         for name, _, detail in report:
             print(f"[ok] {name}" + (f": {detail}" if detail else ""))
     if args.svg:

@@ -624,13 +624,11 @@ class _Decomposition:
     contact classes and jac_counts[k], for each root of f, the number of
     jacobian roots with contact at least b_(k+1)/b_0 with it.
     self_contacts holds, for each root of f, its contacts with the other
-    conjugates; it is None without profile.  am is _am_iteration(f) when
-    the caller has already run it.
+    conjugates; it is None without profile.
     """
 
-    def __init__(self, f: BiPoly, indices=None, fk: BiPoly | None = None, profile=False,
-                 am=None):
-        s, char_roots = am or _am_iteration(f)
+    def __init__(self, f: BiPoly, indices=None, fk: BiPoly | None = None, profile=False):
+        s, char_roots = _am_iteration(f)
         g = s.genus
         if g == 0:
             raise ValidationError("a smooth branch has no jacobian decomposition")
@@ -639,7 +637,7 @@ class _Decomposition:
         degrees = [s.multiplicity // s.gcds[k] for k in range(g)]
         self.fk_given = fk is not None
         if self.fk_given:
-            if not fk.is_monic_in_y() or not fk.is_weierstrass():
+            if not fk.is_weierstrass():
                 raise ValidationError("the supplied root must be a Weierstrass polynomial")
             if indices is None:
                 if fk.deg_y() not in degrees:
@@ -810,13 +808,7 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
     b_0/l_k it has.  Returns the full report; raises VerificationError on
     any failure.
     """
-    return _decomposition_report(_Decomposition(f, None if k is None else [k], fk, profile=True),
-                                 exact_totals)
-
-
-def _decomposition_report(dec: _Decomposition, exact_totals: bool = True):
-    """The checks of verify_decomposition on a decomposition built with profile."""
-    f = dec.f
+    dec = _Decomposition(f, None if k is None else [k], fk, profile=True)
     s = dec.s
     b = dec.exponents
     b0 = b[0]

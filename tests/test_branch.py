@@ -12,6 +12,7 @@ from planebranch import (
     ValidationError,
     approximate_root,
     approximate_root_semigroup,
+    branch,
     build_test_branch,
     char_to_semigroup,
     characteristic_roots,
@@ -159,8 +160,10 @@ def test_semigroup_of_rejects_reducible():
     # second generator b = n: no branch has it, and swapping x and y would
     # give the same kind of curve back, so these are not told to swap
     for node in ("y^2-x^2", "y*(y-x)", "y^2-x^2-x^3"):
-        with pytest.raises(ValidationError, match="does not refine the gcd chain"):
-            semigroup_of(parse_poly(node))
+        f = parse_poly(node)
+        for _ in range(2):  # a failure is not kept, so a second call raises too
+            with pytest.raises(ValidationError, match="does not refine the gcd chain"):
+                semigroup_of(f)
 
 
 def test_build_test_branch_frozen():
@@ -201,3 +204,23 @@ def test_random_test_branch_contract(rng):
         f, s = random_test_branch(rng, max_degree=12)
         assert f.deg_y() == s.multiplicity <= 12
         assert f.is_weierstrass()
+
+
+def test_one_am_run_serves_the_semigroup_and_the_roots():
+    branch._am_iteration.cache_clear()
+    assert semigroup_of(F2) == Semigroup((4, 6, 13))
+    roots = characteristic_roots(F2)
+    assert roots == [y(), y(2) - x(3)]
+    # each call gets a list of its own, so a caller cannot change a later answer
+    roots.append(F2)
+    roots[0] = x()
+    assert characteristic_roots(F2) == [y(), y(2) - x(3)]
+    assert branch._am_iteration.cache_info().misses == 1
+
+
+def test_build_test_branch_leaves_its_run_for_the_caller():
+    branch._am_iteration.cache_clear()
+    f = build_test_branch(Semigroup((6, 8, 27)))
+    assert branch._am_iteration.cache_info().misses == 1
+    assert semigroup_of(f) == Semigroup((6, 8, 27))
+    assert branch._am_iteration.cache_info().misses == 1

@@ -1,11 +1,18 @@
 """Command line behavior: outputs, exit codes, JSON determinism, batch."""
 
 import json
-import sys
 
 import pytest
 
-from planebranch import branch, cli
+from planebranch import (
+    ElementarySegment,
+    NewtonDiagram,
+    branch,
+    characteristic_roots,
+    cli,
+    parse_poly,
+    puiseux,
+)
 from planebranch.cli import main
 
 F2 = "(y^2-x^3)^2-x^5*y"
@@ -77,20 +84,43 @@ def test_jnd_verify(capsys):
     assert "[ok]" in out and "FAIL" not in out
 
 
-def test_jnd_verify_runs_the_am_iteration_once(capsys, monkeypatch):
-    calls = []
-    am_iteration = branch._am_iteration
-
-    def counted(f):
-        calls.append(f)
-        return am_iteration(f)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("planebranch") and getattr(module, "_am_iteration", None) is am_iteration:
-            monkeypatch.setattr(module, "_am_iteration", counted)
+def test_jnd_verify_runs_the_am_iteration_once(capsys):
+    # the semigroup and the verifier both ask for the run; the memo serves
+    # the second request
+    branch._am_iteration.cache_clear()
     code, out, _ = run(capsys, "jnd", "--f", F2, "--verify")
     assert code == 0 and "[ok]" in out and "FAIL" not in out
-    assert len(calls) == 1
+    assert branch._am_iteration.cache_info().misses == 1
+
+
+def test_jnd_verify_json_checks_match_the_text_lines(capsys):
+    code, text, _ = run(capsys, "jnd", "--f", F2, "--verify")
+    assert code == 0
+    code, out, _ = run(capsys, "jnd", "--f", F2, "--verify", "--json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert checks and all(check["ok"] is True for check in checks)
+    lines = [f"[ok] {c['name']}" + (f": {c['detail']}" if c["detail"] else "") for c in checks]
+    assert lines == [line for line in text.splitlines() if line.startswith("[ok]")]
+
+
+def test_roots_json(capsys):
+    code, out, _ = run(capsys, "roots", "--f", F2, "--json")
+    assert code == 0
+    assert json.loads(out) == {"roots": [str(r) for r in characteristic_roots(parse_poly(F2))]}
+
+
+def test_jnd_verify_failure_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(puiseux, "jnd_formula",
+                        lambda s, k: NewtonDiagram([ElementarySegment(1, 1)]))
+    code, out, err = run(capsys, "jnd", "--f", F2, "--verify")
+    assert code == 2 and err.startswith("error: decomposition checks failed")
+    assert "[ok]" not in out
+    code, out, err = run(capsys, "jnd", "--f", F2, "--verify", "--json")
+    assert code == 2 and out == ""
+    envelope = json.loads(err)
+    assert envelope["error"] == "VerificationError"
+    assert envelope["message"].startswith("decomposition checks failed")
 
 
 # a tail far above the Milnor number changes nothing, and its exponent must
@@ -136,7 +166,7 @@ def test_jnd_svg(capsys, tmp_path):
 
 def test_jnd_svg_needs_one_k_before_any_verification(capsys, tmp_path, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "_decomposition_report", lambda dec: calls.append(dec) or [])
+    monkeypatch.setattr(cli, "verify_decomposition", lambda *args: calls.append(args) or [])
     target = tmp_path / "d.svg"
     code, out, err = run(capsys, "jnd", "--f", F2, "--verify", "--svg", str(target))
     assert code == 1 and "single --k" in err and out == ""

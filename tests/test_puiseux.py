@@ -11,6 +11,7 @@ from planebranch import (
     NewtonDiagram,
     NumericError,
     ValidationError,
+    VerificationError,
     characteristic_roots,
     contact,
     contact_classes,
@@ -232,6 +233,12 @@ def test_classes_reject_non_maximal_contact_curve():
         contact_classes(BRANCH_4_6_13, 2)  # index out of range
 
 
+@pytest.mark.parametrize("root", ["2*y^2-x^3", "y^2-x^3+1"])
+def test_classes_reject_a_supplied_root_that_is_not_weierstrass(root):
+    with pytest.raises(ValidationError, match="the supplied root must be a Weierstrass polynomial"):
+        contact_classes(BRANCH_4_6_13, 1, fk=parse_poly(root))
+
+
 def test_oracle_diagram_frozen():
     f2 = BRANCH_4_6_13
     assert jnd_oracle(f2, 0) == D([E(8, 2), E(13, 3)])
@@ -299,6 +306,13 @@ def test_decomposition_runs_the_am_iteration_once(monkeypatch):
     monkeypatch.setattr(puiseux, "_am_iteration", counted)
     verify_decomposition(BRANCH_4_6_13)
     assert calls == [BRANCH_4_6_13]
+
+
+def test_verify_decomposition_raises_on_a_failed_check(monkeypatch):
+    monkeypatch.setattr(puiseux, "jnd_formula", lambda s, k: D([E(1, 1)]))
+    with pytest.raises(VerificationError,
+                       match="decomposition checks failed: k=0: oracle diagram matches formula"):
+        verify_decomposition(BRANCH_4_6_13)
 
 
 def test_verify_decomposition_rejects_smooth():
