@@ -13,10 +13,10 @@ exact the moment the coefficient decisions are trusted.
 
 from __future__ import annotations
 
-from cmath import phase
+from cmath import phase, rect
 from contextlib import nullcontext
 from fractions import Fraction
-from math import ceil, comb, factorial, inf, lcm
+from math import ceil, comb, factorial, gcd, inf, lcm, pi
 
 from ._value import Value, _is_int, _rational
 from .branch import (
@@ -84,11 +84,16 @@ class NumericContext:
 
         return mpmath.mpc(mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator))
 
+    def nth_roots(self, a, g):
+        """The g roots of z^g = a, for a != 0."""
+        if self.bits <= 53:
+            return [a ** (1 / g) * rect(1.0, 2 * pi * k / g) for k in range(g)]
+        import mpmath
+
+        return [mpmath.root(a, g, k) for k in range(g)]
+
     def poly_roots(self, coeffs):
         """Roots of a dense polynomial, constant term first."""
-        deg = len(coeffs) - 1
-        if deg == 1:
-            return [-coeffs[0] / coeffs[1]]
         if self.bits <= 53:
             import numpy as np
 
@@ -128,7 +133,7 @@ class PuiseuxSeries(Value):
     """A truncated fractional power series in x.
 
     Terms are (exponent, coefficient) pairs with exact Fraction exponents;
-    every exponent below the truncation is present.  The exact zero series
+    every nonzero term below the truncation is present.  The exact zero series
     has no terms and infinite truncation.  Two series are equal when their
     terms and truncation are; the context that computed them does not count.
     """
@@ -244,11 +249,41 @@ def _classify_root(ctx, derivs, r_raw, scale):
 
 
 def _edge_roots(ctx, coeffs):
-    """Distinct roots of an edge polynomial with certified multiplicities."""
-    deg = len(coeffs) - 1
-    derivs = [list(coeffs)]
-    for _ in range(deg):
+    """Distinct roots of an edge polynomial with certified multiplicities.
+
+    The edge polynomial is P(z^g), g the gcd of the exponents of its nonzero
+    coefficients, so a root w of P of multiplicity mu gives the g roots of
+    z^g = w, each of multiplicity mu; w != 0, as P's constant term is a
+    hull vertex.  P, of degree m, is first tried as one cluster
+    P[m](w - a)^m around the mean a = -P[m-1]/(m P[m]) of its roots.  The
+    cluster is accepted when _classify_root's certificate of an m-fold
+    root holds at a: every entry of the scaled derivative profile at a,
+    with rho = |a|, is at most sig_tol times the m-th.  That is the bound
+    which tells an m-fold root from a spread of roots on the general path
+    too.  A binomial, m = 1, always passes.  Any other P goes to the
+    general root finder.
+    """
+    g = gcd(*(i for i, c in enumerate(coeffs) if c))
+    P = coeffs[::g]
+    m = len(P) - 1
+    derivs = [P]
+    for _ in range(m):
         derivs.append(_derive(derivs[-1]))
+    a = -P[m - 1] / (m * P[m])
+    profile = _scaled_derivative_profile(derivs, a, abs(a))
+    if max(profile[:m]) <= ctx.sig_tol * profile[m]:
+        roots = [(a, m)]
+    else:
+        roots = _certified_roots(ctx, derivs)
+    return [(z, mu) for w, mu in roots for z in ctx.nth_roots(w, g)]
+
+
+def _certified_roots(ctx, derivs):
+    """Distinct roots of derivs[0] from the general root finder, each
+    polished and certified by _classify_root; derivs lists the polynomial
+    and all its derivatives."""
+    coeffs = derivs[0]
+    deg = len(coeffs) - 1
     raw = ctx.poly_roots(coeffs)
     if len(raw) != deg:
         raise _EscalationNeeded(f"root finder returned {len(raw)} of {deg} roots")
@@ -443,12 +478,22 @@ def _pair_contact(ctx, a: PuiseuxSeries, b: PuiseuxSeries):
     is only a lower bound (inf if both series are exact).
     """
     bound = min(a.truncation, b.truncation)
-    exps = sorted(set(a.support()) | set(b.support()))
-    for e in exps:
+    ta, tb = a.terms, b.terms
+    i = j = 0
+    # one merged walk up both sorted term tuples; a missing term is 0
+    while True:
+        ea = ta[i][0] if i < len(ta) else inf
+        eb = tb[j][0] if j < len(tb) else inf
+        e = min(ea, eb)
         if e >= bound:
             break
-        ca = a.coefficient(e)
-        cb = b.coefficient(e)
+        ca = cb = 0
+        if ea == e:
+            ca = ta[i][1]
+            i += 1
+        if eb == e:
+            cb = tb[j][1]
+            j += 1
         denom = max(abs(ca), abs(cb))
         if denom == 0:
             continue

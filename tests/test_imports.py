@@ -1,4 +1,5 @@
-"""The exact pipeline never loads the numeric stack.
+"""The exact pipeline never loads the numeric stack, and the verifier loads
+it only when a root finder runs.
 
 Each check runs in a fresh interpreter, because this test process has
 already imported numpy and mpmath through other tests.
@@ -67,9 +68,17 @@ def test_exact_commands_load_no_numeric_library(tmp_path, capsys):
     assert numeric_modules(tmp_path, commands) == [[], []]
 
 
-def test_verification_at_53_bits_loads_numpy_only(tmp_path):
+def test_verification_with_closed_form_edge_roots_loads_no_numeric_library(tmp_path):
+    # every edge polynomial of F2 and of its jacobians is a binomial or one
+    # cluster after lattice reduction, so no root finder runs
     commands = [["jnd", "--f", F2, "--verify"]]
-    assert numeric_modules(tmp_path, commands) == [[], ["numpy"]]
+    assert numeric_modules(tmp_path, commands) == [[], []]
+
+
+def test_general_root_finder_at_53_bits_loads_numpy_only(tmp_path):
+    # (z - 1)(z - 2)(z - 4) is neither a binomial nor one cluster
+    action = "assert len(puiseux_expand(parse_poly('(y-x)*(y-2*x)*(y-4*x)'), 2)) == 3"
+    assert numeric_modules(tmp_path, [], action) == [[], ["numpy"]]
 
 
 def test_higher_tiers_load_mpmath(tmp_path):

@@ -10,8 +10,10 @@ from planebranch import (
     ElementarySegment,
     NewtonDiagram,
     NumericError,
+    Semigroup,
     ValidationError,
     VerificationError,
+    build_test_branch,
     characteristic_roots,
     contact,
     contact_classes,
@@ -61,8 +63,8 @@ def test_expansion_ignores_roots_away_from_origin():
 
 
 def test_fourfold_edge_root_is_resolved():
-    # the first edge carries y = x with multiplicity 4; splitting it needs
-    # the multiple-root certification, not plain clustering
+    # the first edge polynomial (z - 1)^4 is one cluster, so y = x comes
+    # with multiplicity 4 in closed form; the next level splits it
     roots = puiseux_expand(parse_poly("(y-x)^4 - x^7"), 3)
     assert len(roots) == 4
     for s in roots:
@@ -79,16 +81,9 @@ def _shape(series):
     "f, depth, bits",
     [(CUSP, 4, bits) for bits in (128, 256, 512)]
     + [(parse_poly("y^3-x^7"), 4, bits) for bits in (128, 256, 512)]
-    + [(BRANCH_4_6_13, Fraction(17, 4), bits) for bits in (128, 256)]
-    + [
-        pytest.param(
-            BRANCH_4_6_13, Fraction(17, 4), 512,
-            # the edge polynomial (z^2 - 1)^2 has double roots, on which
-            # mpmath's root finder does not converge; a square-free split
-            # of exact edge polynomials is the fix
-            marks=pytest.mark.xfail(strict=True, raises=NumericError),
-        )
-    ],
+    # the edge polynomial (z^2 - 1)^2 of BRANCH_4_6_13 is one cluster
+    # (w - 1)^2 in w = z^2, rooted in closed form at every tier
+    + [(BRANCH_4_6_13, Fraction(17, 4), bits) for bits in (128, 256, 512)],
 )
 def test_expansion_starts_at_min_bits(f, depth, bits):
     series = puiseux_expand(f, depth, min_bits=bits)
@@ -105,6 +100,70 @@ def test_numeric_error_names_every_tier_tried(min_bits, tiers):
         puiseux._with_escalation(worker, min_bits)
     tried = "; ".join(f"{bits} bits: reason {bits}" for bits in tiers)
     assert str(info.value) == f"undecidable at every precision tier: {tried}"
+
+
+# three distinct roots on one edge: (z - 1)(z - 2)(z - 4) is neither a
+# binomial nor one cluster, so only the general root finder can split it
+THREE_LINES = parse_poly("(y-x)*(y-2*x)*(y-4*x)")
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256, 512])
+def test_general_root_finder_serves_every_tier(monkeypatch, bits):
+    general = puiseux._certified_roots
+    tiers = []
+
+    def counted(ctx, derivs):
+        tiers.append(ctx.bits)
+        return general(ctx, derivs)
+
+    monkeypatch.setattr(puiseux, "_certified_roots", counted)
+    series = puiseux_expand(THREE_LINES, 2, min_bits=bits)
+    assert tiers == [bits]
+    assert {s.context.bits for s in series} == {bits}
+    assert _shape(series) == (3, [(Fraction(1),)] * 3)
+    assert [s.truncation for s in series] == [inf] * 3
+    for s, c in zip(series, (1, 2, 4)):
+        assert abs(s.coefficient(Fraction(1)) - c) < 1e-12
+
+
+def _roots(bits, coeffs):
+    ctx = puiseux.NumericContext(bits)
+    with ctx.guard():
+        found = puiseux._edge_roots(ctx, [ctx.number(Fraction(c)) for c in coeffs])
+    return sorted(((complex(z), mu) for z, mu in found), key=lambda r: (r[0].real, r[0].imag))
+
+
+def _refuse_general_finder(monkeypatch):
+    def refuse(ctx, derivs):
+        raise AssertionError("the general root finder was called")
+
+    monkeypatch.setattr(puiseux, "_certified_roots", refuse)
+
+
+def test_binomial_edge_roots_in_closed_form(monkeypatch):
+    # z^3 - 8: the cube roots of 8, each simple
+    _refuse_general_finder(monkeypatch)
+    roots = _roots(53, [-8, 0, 0, 1])
+    assert [mu for _, mu in roots] == [1, 1, 1]
+    for z, _ in roots:
+        assert abs(z ** 3 - 8) < 1e-12
+    assert abs(roots[-1][0] - 2) < 1e-14
+
+
+def test_cluster_edge_roots_at_512_bits(monkeypatch):
+    # (z^2 - 1)^2 = P(z^2) with P = (w - 1)^2: roots -1 and 1, each double
+    _refuse_general_finder(monkeypatch)
+    roots = _roots(512, [1, 0, -2, 0, 1])
+    assert [mu for _, mu in roots] == [2, 2]
+    assert all(abs(z - c) < 1e-100 for (z, _), c in zip(roots, (-1, 1)))
+
+
+def test_nearby_distinct_roots_are_not_one_cluster():
+    # (z - 1)(z - 1 - 1/100): two simple roots, not one double root
+    d = Fraction(1, 100)
+    roots = _roots(53, [1 + d, -2 - d, 1])
+    assert [mu for _, mu in roots] == [1, 1]
+    assert abs(roots[0][0] - 1) < 1e-12 and abs(roots[1][0] - (1 + d)) < 1e-12
 
 
 def test_truncated_series_format():
@@ -273,6 +332,16 @@ def test_verify_decomposition_full():
     assert all(ok for _, ok, _ in report)
     assert len(verify_decomposition(BRANCH_4_6_13, exact_totals=False)) == 14
     assert len(verify_decomposition(BRANCH_4_6_13, k=1)) == 9
+
+
+def test_verify_decomposition_with_an_eightfold_top_edge():
+    # the top edge polynomial of f is (z^2 - c)^8, one cluster (w - c)^8
+    # after lattice reduction; through the general root finder alone the
+    # verifier ended in NumericError, undecided at every tier
+    f = build_test_branch(Semigroup((16, 40, 84, 174, 355)))
+    report = verify_decomposition(f, exact_totals=False)
+    assert len(report) == 28
+    assert all(ok for _, ok, _ in report)
 
 
 @pytest.mark.parametrize("root, k", [("y", 0), ("y^2-x^3", 1), ("y^2-x^3-x^4", 1)])
