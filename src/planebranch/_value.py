@@ -14,6 +14,8 @@ def _is_int(value) -> bool:
 def _rational(value, what: str, allowed: str) -> Fraction:
     """value as an exact Fraction: an int, a Fraction or a string such as
     "3/2", never a float or a bool; ValidationError otherwise."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (float, bool)):
         raise ValidationError(f"{what} must be {allowed}, got {type(value).__name__} {value!r}")
     try:

@@ -32,7 +32,7 @@ def _frac_or_inf(value, what: str):
     if value == inf:
         return inf
     v = _rational(value, what, "rational or inf")
-    if v <= 0:
+    if v.numerator <= 0:
         raise ValidationError(f"{what} must be positive, got {value!r}")
     return v
 
@@ -41,26 +41,27 @@ class ElementarySegment(Value):
     """One elementary Newton diagram, written {length \\ height}.
 
     The length is the horizontal extent and the height the vertical extent of
-    the single compact face.  Exactly one of the two may be inf.
+    the single compact face.  At most one of the two is infinite.  A side is
+    a float exactly when it is infinite (the float inf), and a Fraction
+    otherwise, so isinstance(side, float) tells an infinite side.  The
+    inclination, length over height, is fixed at construction: 0 for a pure
+    x shift, inf for a pure y shift.
     """
 
-    __slots__ = ("length", "height")
+    __slots__ = ("length", "height", "inclination")
 
     def __init__(self, length, height):
         length = _frac_or_inf(length, "segment length")
         height = _frac_or_inf(height, "segment height")
-        if length == inf and height == inf:
-            raise ValidationError("segment cannot be infinite in both directions")
-        self._set(length=length, height=height)
-
-    @property
-    def inclination(self):
-        """Length over height; 0 for a pure x shift, inf for a pure y shift."""
-        if self.height == inf:
-            return Fraction(0)
-        if self.length == inf:
-            return inf
-        return self.length / self.height
+        if isinstance(height, float):
+            if isinstance(length, float):
+                raise ValidationError("segment cannot be infinite in both directions")
+            inclination = Fraction(0)
+        elif isinstance(length, float):
+            inclination = inf
+        else:
+            inclination = length / height
+        self._set(length=length, height=height, inclination=inclination)
 
     def scaled(self, factor) -> "ElementarySegment":
         factor = _rational(factor, "scale factor", "rational")
@@ -74,7 +75,7 @@ class ElementarySegment(Value):
 
     def __str__(self):
         def fmt(v):
-            return "inf" if v == inf else str(v)
+            return "inf" if isinstance(v, float) else str(v)
 
         return "{" + fmt(self.length) + "\\" + fmt(self.height) + "}"
 
@@ -128,15 +129,15 @@ class NewtonDiagram(Value):
         sx, sy = shift
         sx = _rational(sx, "diagram shift", "rational")
         sy = _rational(sy, "diagram shift", "rational")
-        if sx < 0 or sy < 0:
+        if sx.numerator < 0 or sy.numerator < 0:
             raise ValidationError(f"diagram shift must be nonnegative, got ({sx}, {sy})")
         finite = []
         for seg in segments:
             if not isinstance(seg, ElementarySegment):
                 seg = ElementarySegment(*seg)
-            if seg.height == inf:
+            if isinstance(seg.height, float):
                 sx += seg.length
-            elif seg.length == inf:
+            elif isinstance(seg.length, float):
                 sy += seg.height
             else:
                 finite.append(seg)

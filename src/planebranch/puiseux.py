@@ -240,7 +240,9 @@ def _classify_root(ctx, derivs, r_raw, scale):
         top = max(profile)
         if top == 0:
             continue
-        if profile[mu] < 1e-3 * top:
+        # the floor shrinks with the tier, as spread and sig_tol do, so
+        # closer simple roots certify at higher precision; 1e-3 at 53 bits
+        if profile[mu] < 1e-3 * 2.0 ** ((53 - ctx.bits) / 5) * top:
             continue
         if any(profile[m] > ctx.sig_tol * top for m in range(mu)):
             continue

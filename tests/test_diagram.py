@@ -1,8 +1,12 @@
 """Newton diagrams: hulls, Minkowski arithmetic, serialization, rendering."""
 
+import copy
+import pickle
+from decimal import Decimal
 from fractions import Fraction
 from math import inf
 
+import numpy
 import pytest
 
 from oracles import support_hull
@@ -43,7 +47,40 @@ def test_segment_validation():
         E(True, 1)
 
 
-@pytest.mark.parametrize("bad", ["abc", "1/0", float("nan"), 0.5, 0.0, inf, -1, Fraction(-1, 2)])
+@pytest.mark.parametrize(
+    "spelling",
+    [inf, float("inf"), Decimal("Infinity"), numpy.float64("inf")],
+    ids=["math.inf", "float", "Decimal", "numpy.float64"],
+)
+def test_segment_side_accepts_every_infinite_spelling(spelling):
+    # every spelling is stored as the float inf, the one float a side can be
+    for seg, twin in ((E(3, spelling), E(3, inf)), (E(spelling, 2), E(inf, 2))):
+        assert seg == twin and str(seg) == str(twin)
+        assert seg.inclination == twin.inclination
+        assert any(type(side) is float for side in (seg.length, seg.height))
+    assert NewtonDiagram([E(3, spelling), E(spelling, 2)]) == NewtonDiagram([], (3, 2))
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_infinite_segment_survives_copy_and_pickle(copier):
+    # an unpickled inf is a new float object: infinity is told by type,
+    # not by identity with math.inf
+    x_piece, y_piece = copier(E(3, inf)), copier(E(inf, 2))
+    assert x_piece.inclination == 0 and y_piece.inclination == inf
+    assert str(x_piece) == "{3\\inf}" and str(y_piece) == "{inf\\2}"
+    assert NewtonDiagram([x_piece, E(4, 2)]) == NewtonDiagram([E(4, 2)], shift=(3, 0))
+    assert NewtonDiagram([y_piece, E(4, 2)]) == NewtonDiagram([E(4, 2)], shift=(0, 2))
+    finite = copier(E(13, 3))
+    assert finite.inclination == Fraction(13, 3)
+
+
+@pytest.mark.parametrize(
+    "bad", ["abc", "1/0", float("nan"), 0.5, 0.0, inf, -1, Fraction(-1, 2), -inf]
+)
 def test_shift_validation(bad):
     # the shift follows the rule of segment values: rational, never a float,
     # but zero is allowed
@@ -144,8 +181,10 @@ def test_json_roundtrip():
 
 
 def test_json_accepts_inf_segments():
-    d = NewtonDiagram.from_json_dict({"shift": [0, 0], "segments": [["inf", 2], [4, 2]]})
-    assert d.shift == (0, 2)
+    d = NewtonDiagram.from_json_dict(
+        {"shift": [0, 0], "segments": [["inf", 2], [4, 2], [3, "inf"]]}
+    )
+    assert d.shift == (3, 2)
     assert d.segments == (E(4, 2),)
 
 

@@ -166,6 +166,15 @@ def test_nearby_distinct_roots_are_not_one_cluster():
     assert abs(roots[0][0] - 1) < 1e-12 and abs(roots[1][0] - (1 + d)) < 1e-12
 
 
+def test_close_simple_roots_certify_at_a_higher_tier():
+    # (z - 10000)(z - 10001): the roots lie 1e-4 apart relative, under the
+    # 53-bit multiplicity floor; the floor shrinks with the tier, so 128 bits
+    # certifies both as simple
+    series = puiseux_expand(parse_poly("(y-10000*x)*(y-10001*x)"), 2)
+    assert [str(s) for s in series] == ["10000*x^1", "10001*x^1"]
+    assert {s.context.bits for s in series} == {128}
+
+
 def test_truncated_series_format():
     s = puiseux_expand(parse_poly("y^2-x^3-x^4"), 4)[0]
     assert "O(x^4)" in str(s)
