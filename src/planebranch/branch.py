@@ -16,7 +16,7 @@ from math import gcd, inf, prod
 
 from ._value import Value, _is_int
 from .errors import ValidationError
-from .poly import BiPoly, intersection_multiplicity
+from .poly import BiPoly, _certify, _resultant_intersection
 
 __all__ = [
     "CharSequence",
@@ -248,7 +248,10 @@ def _am_iteration(f: BiPoly):
     generator.  Any failure of the branch axioms along the way certifies
     that f is not an irreducible germ transverse to x = 0.  The last result
     is kept, so consecutive calls on one polynomial share one run; the
-    roots come back as a tuple, and a failure is not kept.
+    roots come back as a tuple, and a failure is not kept.  A success is
+    also handed to poly, whose intersection_multiplicity then reads
+    intersections with f and its roots off their expansion; the run itself
+    takes the resultant route, so no certificate rests on an earlier one.
     """
     _require_weierstrass(f, "semigroup computation")
     n = f.deg_y()
@@ -257,7 +260,7 @@ def _am_iteration(f: BiPoly):
     l = n
     while l > 1:
         fk = approximate_root(f, l)
-        b = intersection_multiplicity(f, fk)
+        b = _resultant_intersection(f, fk)
         if b == inf:
             raise ValidationError(
                 "not an irreducible branch: f shares a component with an approximate root"
@@ -282,6 +285,7 @@ def _am_iteration(f: BiPoly):
         s = Semigroup(tuple(gens))
     except ValidationError as exc:
         raise ValidationError(f"not an irreducible branch: {exc}") from exc
+    _certify((*roots, f), s.generators)
     return s, tuple(roots)
 
 

@@ -10,12 +10,18 @@ The resultant clears denominators and runs over Z[x].  Each Z[x]
 coefficient is a sparse dict {x-exponent: int}, so its cost follows the
 number of terms, not the x-degree: an x^(mu+2)*y tail or an exponent of
 10^12 adds a term, not a list of zeros.
+
+The module also keeps one slot: the last branch that branch._am_iteration
+certified, with its characteristic approximate roots and semigroup.  An
+intersection number with that branch or one of its roots is read off an
+expansion in the roots, over sparse {x-exponent: Fraction} rows, in place
+of a resultant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, lcm
+from math import gcd, inf, lcm
 
 from ._value import _is_int, _rational
 from .errors import ValidationError
@@ -283,7 +289,8 @@ def jacobian_det(g: BiPoly, f: BiPoly) -> BiPoly:
 # ---------------------------------------------------------------------------
 # Univariate integer polynomials in x for the resultant, stored sparse as
 # {x-exponent: int} with no zero entries.  A y-polynomial over Z[x] is a list
-# of them indexed by y-power, with a nonzero last entry.
+# of them indexed by y-power, with a nonzero last entry.  The ring helpers
+# serve the same rows over Q, with Fraction values, in the expansion below.
 # ---------------------------------------------------------------------------
 
 
@@ -445,11 +452,32 @@ def intersection_multiplicity(f: BiPoly, h: BiPoly):
     """Intersection multiplicity of the curves f = 0 and h = 0 at the origin.
 
     Returns a nonnegative integer, or math.inf when the curves share a
-    component through the origin.  x-power content is split off explicitly
-    and the remaining y-regular parts go through the y-resultant; the value
-    is the local multiplicity whenever one argument is a Weierstrass
-    polynomial times a unit, which covers every use in this package.
+    component through the origin.  There are two exact routes.
+
+    When either argument is the last branch certified by semigroup_of or
+    characteristic_roots, or one of its characteristic approximate roots
+    f_0, ..., f_(k-1) (each a branch whose roots are the ones before it,
+    with semigroup approximate_root_semigroup(s, k)), the other argument is
+    reduced modulo that branch and the remainder expanded as a sum of
+    monomials x^a f_0^e_0 ... f_(k-1)^e_(k-1) with 0 <= e_i < n_(i+1).
+    Distinct monomials of this expansion have distinct values
+    a v_0 + sum e_i v_(i+1), so the intersection number is the least value
+    that occurs (Abhyankar and Moh, J. reine angew. Math. 260, 1973).
+
+    Otherwise x-power content is split off explicitly and the remaining
+    y-regular parts go through the y-resultant; the value is the local
+    multiplicity whenever one argument is a Weierstrass polynomial times a
+    unit, which covers every use in this package.
     """
+    for branch, other in ((f, h), (h, f)):
+        value = _expansion_intersection(branch, other) if other else None
+        if value is not None:
+            return value
+    return _resultant_intersection(f, h)
+
+
+def _resultant_intersection(f: BiPoly, h: BiPoly):
+    """intersection_multiplicity by the y-resultant route alone."""
     if f.is_zero() or h.is_zero():
         raise ValidationError("intersection multiplicity needs nonzero polynomials")
     if f.coefficient(0, 0) or h.coefficient(0, 0):
@@ -466,6 +494,65 @@ def intersection_multiplicity(f: BiPoly, h: BiPoly):
     if res.is_zero():
         return inf
     return total + res.ord_x()
+
+
+#: the last certified branch f as (the chain f_0, ..., f_(g-1), f, its
+#: semigroup generators, the chain's y-rows); one slot, so memory stays bounded
+_certified = ((), (), [])
+
+
+def _certify(chain, generators):
+    """Keep a certified branch, chain[-1], for intersection_multiplicity."""
+    global _certified
+    _certified = (chain, generators, [_rows(p) for p in chain])
+
+
+def _rows(p: BiPoly):
+    """The y-coefficients of p, lowest first, as {x-exponent: Fraction} rows."""
+    rows = [{} for _ in range(p.deg_y() + 1)]
+    for (i, j), c in p._terms.items():
+        rows[j][i] = c
+    return rows
+
+
+def _divmod_monic(A, B):
+    """Quotient and remainder in y of the rows A by the monic rows B."""
+    d = len(B) - 1
+    Q = [{} for _ in range(len(A) - d)]
+    R = list(A)
+    while len(R) > d:
+        top = R.pop()
+        s = len(R) - d
+        Q[s] = top
+        for t in range(d):
+            R[s + t] = _z_sub(R[s + t], _z_mul(top, B[t]))
+    return Q, _trim(R)
+
+
+def _expansion_intersection(branch: BiPoly, h: BiPoly):
+    """I(branch, h) by the expansion route; None when branch is not in the slot."""
+    chain, gens, rows = _certified
+    for k, p in enumerate(chain):
+        if p == branch:
+            # entry k is a branch with semigroup v_0 / l_k, ..., v_k / l_k
+            l_k = gcd(*gens[: k + 1])
+            rem = _divmod_monic(_rows(h), rows[k])[1]
+            return _least_value(rem, rows[:k], [v // l_k for v in gens[: k + 1]]) if rem else inf
+    return None
+
+
+def _least_value(r, roots, w):
+    """Least a w_0 + sum e_i w_(i+1) over the monomials x^a prod roots[i]^e_i
+    of the nonzero rows r, whose y-degree is below that of the branch."""
+    if not roots:
+        return w[0] * min(r[0])
+    best, e = inf, 0
+    while r:
+        r, digit = _divmod_monic(r, roots[-1])
+        if digit:
+            best = min(best, _least_value(digit, roots[:-1], w) + e * w[len(roots)])
+        e += 1
+    return best
 
 
 def milnor_number(f: BiPoly) -> int:

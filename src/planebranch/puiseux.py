@@ -33,7 +33,7 @@ from .errors import (
     VerificationError,
 )
 from .jacobian import _check_index, jnd_formula
-from .poly import BiPoly, intersection_multiplicity, jacobian_det
+from .poly import BiPoly, _resultant_intersection, jacobian_det
 
 __all__ = [
     "NumericContext",
@@ -938,8 +938,8 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
         )
 
         if exact_totals:
-            exact_len = intersection_multiplicity(dec.jacobians[kk], f)
-            exact_ht = intersection_multiplicity(dec.jacobians[kk], dec.roots[kk])
+            exact_len = _resultant_intersection(dec.jacobians[kk], f)
+            exact_ht = _resultant_intersection(dec.jacobians[kk], dec.roots[kk])
             check(f"{tag}: resultant length total", exact_len == length_total,
                   f"{exact_len} vs {length_total}")
             check(f"{tag}: resultant height total", exact_ht == height_total,

@@ -37,6 +37,7 @@ from planebranch import (
     verify_decomposition,
 )
 from planebranch.fixtures import BRANCH_4_6_13, BRANCH_6_8_27, BRANCH_6_8_27_VARIANT
+from planebranch.poly import _resultant_intersection
 
 E = ElementarySegment
 D = NewtonDiagram
@@ -147,9 +148,16 @@ def test_jacobian_pairing_identity_on_fixtures():
             pairing = intersection_multiplicity(f, fk)
             if pairing != s.generators[k + 1]:
                 problems.append(f"(f, root) mismatch {s} k={k}")
-            lhs = intersection_multiplicity(fk, jacobian_det(fk, f))
+            jac = jacobian_det(fk, f)
+            lhs = intersection_multiplicity(fk, jac)
             if lhs != mu_semigroup + pairing - 1:
                 problems.append(f"identity fails {s} k={k}: {lhs}")
+            # the numbers above read a certified branch's expansion; the
+            # resultant route is a second, independent exact answer
+            if _resultant_intersection(f, fk) != pairing:
+                problems.append(f"(f, root) routes disagree {s} k={k}")
+            if _resultant_intersection(fk, jac) != lhs:
+                problems.append(f"identity routes disagree {s} k={k}")
     _report(5, "jacobian pairing = mu + contact order - 1 on all fixtures, exact", problems)
 
 

@@ -1,5 +1,6 @@
 """Semigroups, characteristic sequences, approximate roots."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -216,6 +217,21 @@ def test_one_am_run_serves_the_semigroup_and_the_roots():
     roots[0] = x()
     assert characteristic_roots(F2) == [y(), y(2) - x(3)]
     assert branch._am_iteration.cache_info().misses == 1
+
+
+def test_approximate_roots_are_transitive():
+    # the roots of f_k are f_0, ..., f_(k-1): what lets intersection_multiplicity
+    # expand in them when f_k is the branch
+    rng = random.Random(5)
+    cases = [Semigroup((32, 48, 132, 538, 1077))]
+    cases += [random_semigroup(rng, max_genus=3, max_multiplicity=12) for _ in range(6)]
+    for i, s in enumerate(cases):
+        f = build_test_branch(s)
+        if i % 2:
+            f = f + BiPoly.monomial(1, s.milnor() + 2, 1)
+        roots = characteristic_roots(f)
+        for k, fk in enumerate(roots):
+            assert branch._am_iteration(fk) == (approximate_root_semigroup(s, k), tuple(roots[:k]))
 
 
 def test_build_test_branch_leaves_its_run_for_the_caller():

@@ -1,6 +1,7 @@
 """Exact polynomial kernel: arithmetic, derivatives, resultants."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,21 @@ from hypothesis import strategies as st
 from oracles import sylvester_resultant
 from planebranch import (
     BiPoly,
+    Semigroup,
     ValidationError,
+    approximate_root_semigroup,
+    build_test_branch,
+    characteristic_roots,
     intersection_multiplicity,
     jacobian_det,
     milnor_number,
+    poly,
+    random_semigroup,
     resultant_y,
+    semigroup_of,
 )
+from planebranch.branch import _am_iteration
+from planebranch.poly import _resultant_intersection
 
 x = BiPoly.x
 y = BiPoly.y
@@ -266,6 +276,87 @@ def test_intersection_symmetric(rng):
         f = rand_poly(rng, max_deg=3)
         h = rand_poly(rng, max_deg=3)
         assert intersection_multiplicity(f, h) == intersection_multiplicity(h, f)
+
+
+# -- intersection numbers read off an approximate-root expansion ---------------
+
+
+def _counted_resultants(monkeypatch):
+    calls = []
+    resultant = poly.resultant_y
+
+    def counted(f, h):
+        calls.append((f, h))
+        return resultant(f, h)
+
+    monkeypatch.setattr(poly, "resultant_y", counted)
+    return calls
+
+
+def test_expansion_route_matches_resultant_route(monkeypatch):
+    """Seeded certified branches of genus 1-3 and multiplicity <= 12, every
+    second one with an x^(mu+2)*y tail.  The branch is f or one of its
+    approximate roots; the partners cover random polynomials, their
+    multiples of f plus a remainder, the jacobians, x powers, a unit and
+    the branch itself."""
+    rng = random.Random(20261018)
+    calls = _counted_resultants(monkeypatch)
+    pairs = 0
+    for i in range(48):
+        s = random_semigroup(rng, max_genus=3, max_generator=10**3, max_multiplicity=12)
+        f = build_test_branch(s)
+        if i % 2:
+            f = f + BiPoly.monomial(1, s.milnor() + 2, 1)
+        chain = (*characteristic_roots(f), f)
+        jacobians = [jacobian_det(fk, f) for fk in chain[:-1]]
+        for k, branch in enumerate(chain):
+            hs = [rand_poly(rng) for _ in range(3)]
+            unit = 3 + x() * rand_poly(rng) + y()
+            partners = [*hs, *(h * f + rand_poly(rng) for h in hs), *jacobians,
+                        x(rng.randint(1, 9)), unit, f, branch]
+            for p in filter(None, partners):
+                calls.clear()
+                fast = intersection_multiplicity(branch, p)
+                assert intersection_multiplicity(p, branch) == fast
+                assert not calls, "the certified branch must take the expansion route"
+                assert fast == _resultant_intersection(branch, p), (s, k, p)
+                pairs += 1
+            assert intersection_multiplicity(branch, unit) == 0
+            assert intersection_multiplicity(branch, branch) == math.inf
+    assert pairs > 1000
+
+
+def test_jacobian_intersections_of_a_certified_branch_take_no_resultant(monkeypatch):
+    s = Semigroup((32, 48, 132, 538, 1077))
+    f = build_test_branch(s)
+    roots = characteristic_roots(f)
+    calls = _counted_resultants(monkeypatch)
+    for k, fk in enumerate(roots):
+        jac = jacobian_det(fk, f)
+        v = s.generators[k + 1]
+        assert intersection_multiplicity(fk, jac) == approximate_root_semigroup(s, k).milnor() + v - 1
+        assert intersection_multiplicity(jac, f) == s.milnor() + v - 1
+    assert calls == []
+
+
+def test_am_iteration_takes_the_resultant_route_once_per_level(monkeypatch):
+    # f and its roots are certified before the run, so only an explicit
+    # resultant route makes these calls
+    f = build_test_branch(Semigroup((8, 12, 26, 53)))
+    calls = _counted_resultants(monkeypatch)
+    _am_iteration.cache_clear()
+    assert semigroup_of(f).genus == len(calls) == 3
+
+
+def test_certifying_a_second_branch_replaces_the_slot(monkeypatch):
+    first = build_test_branch(Semigroup((4, 6, 13)))
+    second = build_test_branch(Semigroup((6, 8, 27)))
+    chain = poly._certified[0]
+    assert chain == (*characteristic_roots(second), second)
+    assert first not in chain and y(2) - x(3) not in chain
+    calls = _counted_resultants(monkeypatch)
+    assert intersection_multiplicity(first, y(2) - x(3)) == 13
+    assert len(calls) == 1
 
 
 # -- Milnor numbers -------------------------------------------------------------
