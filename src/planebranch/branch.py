@@ -16,7 +16,7 @@ from math import gcd, inf, prod
 
 from ._value import Value, _is_int
 from .errors import ValidationError
-from .poly import BiPoly, _certify, _resultant_intersection
+from .poly import BiPoly, _certify, _raw, _resultant_intersection, _z_mul
 
 __all__ = [
     "CharSequence",
@@ -218,8 +218,16 @@ def approximate_root(f: BiPoly, p: int) -> BiPoly:
     """The p-th approximate root of f: the unique monic g with deg g = deg f / p
     such that f - g^p has y-degree below deg f - deg g.
 
-    Found by solving for the coefficients of g top down; each step is a
-    division by p, so no system needs to be inverted.
+    g is the polynomial part of f^(1/p) expanded in 1/y (Abhyankar,
+    Expansion techniques in algebraic geometry, Tata 1977).  With
+    V = f / y^d a series in t = 1/y, V_k the x-row of y^(d-k) and V_0 = 1,
+    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7) gives the
+    rows of W = V^(1/p) one at a time,
+
+        W_n = (1/n) sum_{k=1..n} ((1/p + 1) k - n) V_k W_(n-k),
+
+    and g = sum_j W_j y^(m-j): m(m+1)/2 products of x-polynomials in
+    place of a p-th power of g for each of its m = d/p coefficients.
     """
     if f.is_zero() or not f.is_monic_in_y():
         raise ValidationError("approximate roots need a polynomial monic in y")
@@ -229,14 +237,21 @@ def approximate_root(f: BiPoly, p: int) -> BiPoly:
     if d % p:
         raise ValidationError(f"root exponent {p} must divide the y-degree {d}")
     m = d // p
-    g = BiPoly.y(m)
-    inv_p = Fraction(1, p)
-    for j in range(1, m + 1):
-        power = g**p
-        target = d - j
-        delta = f.y_coefficient(target) - power.y_coefficient(target)
-        g = g + (delta * inv_p).shift_y(m - j)
-    return g
+    V = {}
+    for (i, j), c in f._terms.items():
+        V.setdefault(d - j, {})[i] = c
+    W = [{0: Fraction(1)}]
+    for n in range(1, m + 1):
+        # sum_k (k(p+1) - np) V_k W_(n-k), scaled by 1/(np) once at the end
+        row = {}
+        for k in range(1, n + 1):
+            weight = k * (p + 1) - n * p
+            if weight and k in V and W[n - k]:
+                for i, c in _z_mul(V[k], W[n - k]).items():
+                    row[i] = row.get(i, 0) + weight * c
+        scale = Fraction(1, n * p)
+        W.append({i: c * scale for i, c in row.items() if c})
+    return _raw({(i, m - j): c for j, row in enumerate(W) for i, c in row.items()})
 
 
 @lru_cache(maxsize=1)

@@ -114,12 +114,14 @@ def cmd_semigroup(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    roots = characteristic_roots(parse_poly(args.f))
+    # every root is printed to text first, so one that cannot be printed
+    # fails the command before any line reaches stdout
+    texts = [str(r) for r in characteristic_roots(parse_poly(args.f))]
     if args.json:
-        print(json.dumps({"roots": [str(r) for r in roots]}))
+        print(json.dumps({"roots": texts}))
     else:
-        for k, r in enumerate(roots):
-            print(f"k={k}: {r}")
+        for k, text in enumerate(texts):
+            print(f"k={k}: {text}")
     return 0
 
 

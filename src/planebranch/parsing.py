@@ -11,13 +11,18 @@ Grammar, with whitespace free between tokens but never inside a number:
 
 Multiplication is always explicit: ``2x`` is rejected, ``2*x`` is fine.
 ``parse_poly`` and ``str(BiPoly)`` round-trip exactly.
+
+A sum costs its terms once: they are collected in one dict, not added to a
+copy of the partial sum.  A power of one monomial is one monomial; products
+and powers of sums go through BiPoly's ring operations.
 """
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import PolyParseError
-from .poly import BiPoly
+from .poly import BiPoly, _raw
 
 __all__ = ["parse_poly"]
 
@@ -41,13 +46,23 @@ class _Parser:
                 raise self.error(f"unexpected character {value!r}", at)
             if kind == "number":
                 num, _, den = value.partition("/")
-                if den and int(den) == 0:
+                den = self.integer(den or "1", at)
+                if den == 0:
                     raise self.error("zero denominator", at)
-                self.tokens.append((kind, Fraction(int(num), int(den or 1)), at))
+                self.tokens.append((kind, Fraction(self.integer(num, at), den), at))
             else:
                 self.tokens.append((value, value, at))
         self.tokens.append(("end", None, len(text)))
         self.pos = 0
+
+    def integer(self, digits: str, at: int) -> int:
+        # int() refuses more digits than the interpreter's limit; the limit
+        # stays, and the input is told where its number starts
+        try:
+            return int(digits)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise self.error(f"number has more than {limit} digits", at) from None
 
     def error(self, message, at=None) -> PolyParseError:
         if at is None:
@@ -65,16 +80,18 @@ class _Parser:
         return tok
 
     def expr(self) -> BiPoly:
-        if self.peek() == "-":
-            self.advance()
-            result = -self.term()
-        else:
-            result = self.term()
-        while self.peek() in ("+", "-"):
+        op = self.advance()[0] if self.peek() == "-" else "+"
+        total = {}
+        while True:
+            for key, c in self.term()._terms.items():
+                s = total.get(key, 0) + (c if op == "+" else -c)
+                if s:
+                    total[key] = s
+                else:
+                    del total[key]
+            if self.peek() not in ("+", "-"):
+                return _raw(total)
             op = self.advance()[0]
-            rhs = self.term()
-            result = result + rhs if op == "+" else result - rhs
-        return result
 
     def term(self) -> BiPoly:
         result = self.factor()
@@ -91,7 +108,11 @@ class _Parser:
         kind, value, at = self.advance()
         if kind != "number" or value.denominator != 1:
             raise self.error("exponent must be a nonnegative integer", at)
-        return base ** int(value)
+        n = int(value)
+        if len(base._terms) == 1:
+            ((i, j), c), = base._terms.items()
+            return _raw({(i * n, j * n): c**n})
+        return base**n
 
     def base(self) -> BiPoly:
         kind, value, at = self.advance()
@@ -113,8 +134,9 @@ def parse_poly(text: str) -> BiPoly:
     """Parse the textual polynomial format into a BiPoly.
 
     Raises PolyParseError, carrying 1-based line and column, on any
-    malformed input, including trailing junk after a valid prefix and
-    parentheses nested deeper than the interpreter's recursion limit.
+    malformed input, including trailing junk after a valid prefix,
+    parentheses nested deeper than the interpreter's recursion limit and
+    numbers longer than its limit on digits (sys.get_int_max_str_digits).
     """
     parser = _Parser(text)
     if parser.peek() == "end":

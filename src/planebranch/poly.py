@@ -20,6 +20,7 @@ of a resultant.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, inf, lcm
 
@@ -247,20 +248,25 @@ class BiPoly:
         if not self._terms:
             return "0"
         pieces = []
-        for (i, j), c in sorted(self._terms.items(), key=lambda t: (-t[0][1], -t[0][0])):
-            factors = []
-            if i:
-                factors.append("x" if i == 1 else f"x^{i}")
-            if j:
-                factors.append("y" if j == 1 else f"y^{j}")
-            mag = abs(c)
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
-            body = "*".join(factors)
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append(("+ " if c > 0 else "- ") + body)
+        try:
+            for (i, j), c in sorted(self._terms.items(), key=lambda t: (-t[0][1], -t[0][0])):
+                factors = []
+                if i:
+                    factors.append("x" if i == 1 else f"x^{i}")
+                if j:
+                    factors.append("y" if j == 1 else f"y^{j}")
+                mag = abs(c)
+                if mag != 1 or not factors:
+                    factors.insert(0, str(mag))
+                body = "*".join(factors)
+                if not pieces:
+                    pieces.append(body if c > 0 else "-" + body)
+                else:
+                    pieces.append(("+ " if c > 0 else "- ") + body)
+        except ValueError:
+            # str() of an int refuses more digits than the interpreter's limit
+            limit = sys.get_int_max_str_digits()
+            raise ValidationError(f"cannot print a number of more than {limit} digits") from None
         return " ".join(pieces)
 
     def __repr__(self) -> str:

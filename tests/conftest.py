@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import settings
@@ -25,3 +26,12 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def rng():
     return random.Random(20260825)
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's limit on digits in int <-> str, pinned to its default."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)

@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths under test: the
 resultant goes through evaluated Sylvester determinants plus Lagrange
 interpolation, the hull through support-direction minimisation, the
 Milnor number through brute-force gap counting in the semigroup, the
-polar invariants through their closed formula on the generators.
+polar invariants through their closed formula on the generators, the
+approximate roots through the p-th power of each partial root.
 """
 
 import math
@@ -155,3 +156,22 @@ def polar_invariants(generators, k):
     for i in range(k + 2, len(v)):
         out.append(Fraction(l[i - 1] * v[i], v[k + 1]))
     return tuple(out)
+
+
+def approximate_root_by_powers(f: BiPoly, p: int) -> BiPoly:
+    """The p-th approximate root of a polynomial f monic in y, top down.
+
+    Step j raises the partial root g to the p-th power and fixes the
+    coefficient of y^(m-j) in g, m = deg_y(f) / p, by matching the
+    coefficient of y^(d-j) in g^p with that of f.  A term c*y^(m-j) adds
+    p*c there and touches only lower powers of y besides, so each step
+    divides by p.
+    """
+    d = f.deg_y()
+    m = d // p
+    g = BiPoly.y(m)
+    for j in range(1, m + 1):
+        target = d - j
+        delta = f.y_coefficient(target) - (g**p).y_coefficient(target)
+        g = g + (delta * Fraction(1, p)).shift_y(m - j)
+    return g

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import conductor_by_gaps
+from oracles import approximate_root_by_powers, conductor_by_gaps
 from planebranch import (
     BiPoly,
     CharSequence,
@@ -97,15 +97,28 @@ def test_approximate_root_semigroup():
     assert approximate_root_semigroup(Semigroup((8, 12, 26, 53)), 2) == Semigroup((4, 6, 13))
 
 
+def _variants(f, s, rng):
+    """f, f with an x^(mu+2)*y tail, and f(c*x, y) with a rational tail."""
+    d, mu = f.deg_y(), s.milnor()
+    c = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+    scaled = BiPoly({(i, j): a * c**i for (i, j), a in f.terms()})
+    tail = BiPoly.monomial(Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 9)), mu + 2, d - 1)
+    return f, f + x(mu + 2) * y(), scaled + tail
+
+
 def test_approximate_root_defining_property(rng):
-    for _ in range(8):
-        f, s = random_test_branch(rng, max_degree=8)
-        d = f.deg_y()
-        for p in {q for q in s.gcds if q > 1}:
-            g = approximate_root(f, p)
-            assert g.is_monic_in_y() and g.deg_y() == d // p
-            assert (f - g**p).deg_y() < d - d // p
+    branches = [random_test_branch(rng, max_degree=12) for _ in range(12)]
+    branches += [(F2, Semigroup((4, 6, 13))), (F1, Semigroup((6, 8, 27)))]
+    for f0, s in branches:
+        for f in _variants(f0, s, rng):
+            d = f.deg_y()
+            for p in (q for q in range(1, d + 1) if d % q == 0):
+                g = approximate_root(f, p)
+                assert g == approximate_root_by_powers(f, p), (str(f), p)
+                assert g.is_monic_in_y() and g.deg_y() == d // p
+                assert (f - g**p).deg_y() < d - d // p
     assert approximate_root(F2, 1) == F2
+    assert approximate_root(F2, 4) == y()
 
 
 def test_approximate_root_rejects_bad_input():

@@ -146,6 +146,23 @@ def test_huge_exponent_jnd_verify(capsys):
     assert "[ok]" in out and "FAIL" not in out
 
 
+def test_numbers_past_the_digit_limit(capsys, digit_limit):
+    many = "1" * (digit_limit + 1)
+    for f, column in ((f"{many}*x^2+y^2", 1), (f"x^{many}", 3)):
+        code, out, err = run(capsys, "semigroup", "--f", f)
+        assert code == 3 and out == ""
+        assert err == f"error: number has more than {digit_limit} digits (line 1, column {column})\n"
+    # the root y + 2^19999*x^2 parses, but its coefficient has 6,021 digits
+    big = "y^2+2^20000*x^2*y-x^3"
+    code, out, err = run(capsys, "roots", "--f", big)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot print a number of more than {digit_limit} digits\n"
+    code, out, err = run(capsys, "roots", "--f", big, "--json")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValidationError",
+                               "message": f"cannot print a number of more than {digit_limit} digits"}
+
+
 def test_jnd_flag_conflicts(capsys):
     code, _, err = run(capsys, "jnd", "--semigroup", "4,6,13", "--f", F2)
     assert code == 1 and "exactly one" in err

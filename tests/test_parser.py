@@ -1,6 +1,7 @@
 """Expression grammar: parsing, printing, error positions."""
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -151,3 +152,76 @@ def test_any_text_parses_or_raises_parse_error(text):
         assert err.line >= 1 and err.column >= 1
     else:
         assert isinstance(result, BiPoly)
+
+
+# Random expression trees as (text, value) pairs.  The value is built from
+# BiPoly ring operations alone, a power as repeated multiplication, so the
+# parser's own sums and monomial powers are checked against it.
+_atoms = st.one_of(
+    st.sampled_from([("x", x()), ("y", y())]),
+    st.tuples(st.integers(0, 12), st.integers(1, 6)).map(
+        lambda nd: (f"{nd[0]}/{nd[1]}" if nd[1] > 1 else str(nd[0]),
+                    BiPoly.constant(Fraction(*nd)))),
+)
+
+
+def _power(base, n):
+    return (f"{base[0]}^{n}", reduce(lambda a, b: a * b, [base[1]] * n, BiPoly.one()))
+
+
+def _product(factors):
+    return ("*".join(t for t, _ in factors), reduce(lambda a, b: a * b, (v for _, v in factors)))
+
+
+def _sum(minus, terms):
+    (_, (text, value)), rest = terms[0], terms[1:]
+    if minus:
+        text, value = "-" + text, -value
+    for op, (t, v) in rest:
+        text = f"{text} {op} {t}"
+        value = value + v if op == "+" else value - v
+    return text, value
+
+
+_expr = st.deferred(lambda: st.builds(
+    _sum, st.booleans(),
+    st.lists(st.tuples(st.sampled_from("+-"), _term), min_size=1, max_size=3)))
+_base = st.one_of(_atoms, _expr.map(lambda e: (f"({e[0]})", e[1])))
+_factor = st.one_of(_base, st.builds(_power, _base, st.integers(0, 4)))
+_term = st.lists(_factor, min_size=1, max_size=3).map(_product)
+
+
+@given(_expr)
+def test_expression_trees_parse_to_their_value(tree):
+    text, value = tree
+    assert parse_poly(text) == value, text
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [
+        ("0^0", BiPoly.one()),
+        ("x^00", BiPoly.one()),
+        ("(x-x)^2", BiPoly.zero()),
+        ("0*x^3", BiPoly.zero()),
+        ("2^3*x", 8 * x()),
+        ("(2*x)^3", 8 * x(3)),
+        ("(1/2*x*y^2)^3", BiPoly.monomial(Fraction(1, 8), 3, 6)),
+        ("-x^2+x^2", BiPoly.zero()),
+    ],
+)
+def test_pinned_powers_and_sums(text, value):
+    assert parse_poly(text) == value
+
+
+def test_numbers_past_the_digit_limit_are_parse_errors(digit_limit):
+    many = "1" * (digit_limit + 1)
+    for text, column in ((f"{many}*x^2+y^2", 1), (f"x^{many}", 3), (f"y^2\n- 3/{many}", 3)):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text)
+        line = text.count("\n") + 1
+        assert str(err.value) == (
+            f"number has more than {digit_limit} digits (line {line}, column {column})")
+    # the zero denominator is still told first
+    with pytest.raises(PolyParseError, match="zero denominator"):
+        parse_poly(f"{many}/0")
