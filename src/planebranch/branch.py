@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd, inf, prod
 
 from ._value import Value, _is_int
-from .errors import ValidationError
+from .errors import ValidationError, _digit_limit
 from .poly import BiPoly, _certify, _raw, _resultant_intersection, _z_mul
 
 __all__ = [
@@ -255,6 +255,7 @@ def approximate_root(f: BiPoly, p: int) -> BiPoly:
 
 
 @lru_cache(maxsize=1)
+@_digit_limit()  # a message may quote a number past the digit limit
 def _am_iteration(f: BiPoly):
     """Semigroup generators and characteristic approximate roots of f.
 

@@ -29,6 +29,7 @@ from .errors import (
     PolyParseError,
     ValidationError,
     VerificationError,
+    _digit_limit,
 )
 from .fixtures import COLLIDING_PAIRS
 from .jacobian import (
@@ -105,11 +106,14 @@ def cmd_semigroup(args) -> int:
             "milnor": s.milnor(),
         }))
     else:
-        print(f"semigroup:      {s}")
-        print(f"characteristic: {char}")
-        print(f"gcd sequence:   {', '.join(map(str, s.gcds))}")
-        print(f"ramification:   {', '.join(map(str, s.n_factors))}")
-        print(f"milnor number:  {s.milnor()}")
+        # one print, so a number past the digit limit prints no line at all
+        print("\n".join([
+            f"semigroup:      {s}",
+            f"characteristic: {char}",
+            f"gcd sequence:   {', '.join(map(str, s.gcds))}",
+            f"ramification:   {', '.join(map(str, s.n_factors))}",
+            f"milnor number:  {s.milnor()}",
+        ]))
     return 0
 
 
@@ -194,7 +198,7 @@ def cmd_recover(args) -> int:
         raise ValidationError(f"cannot read {args.family}: {exc}")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
         raise ValidationError(f"{args.family} is not valid JSON: {exc}")
     claimed, diagrams = family_from_json_dict(data)
     result = recovery_data(diagrams)
@@ -334,7 +338,8 @@ def main(argv=None) -> int:
         return _fail(ValidationError("a subcommand or --batch is required"), 1, False)
     json_mode = getattr(args, "json", False)
     try:
-        return args.handler(args)
+        with _digit_limit():
+            return args.handler(args)
     except PolyParseError as exc:
         return _fail(exc, 3, json_mode)
     except (VerificationError, ContactUndecidableError) as exc:

@@ -4,6 +4,9 @@ The CLI maps these onto exit codes: ValidationError -> 1,
 VerificationError (and numeric failures) -> 2, PolyParseError -> 3.
 """
 
+import sys
+from contextlib import contextmanager
+
 
 class PlanebranchError(Exception):
     pass
@@ -36,3 +39,15 @@ class PolyParseError(PlanebranchError, ValueError):
         if line is not None:
             message = f"{message} (line {line}, column {column})"
         super().__init__(message)
+
+
+@contextmanager
+def _digit_limit():
+    """str() of an int past sys.get_int_max_str_digits() as ValidationError."""
+    try:
+        yield
+    except ValueError as exc:  # the interpreter's wording in every version with the limit
+        if isinstance(exc, PlanebranchError) or "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        raise ValidationError(f"cannot print a number of more than {limit} digits") from None

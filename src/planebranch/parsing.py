@@ -13,8 +13,8 @@ Multiplication is always explicit: ``2x`` is rejected, ``2*x`` is fine.
 ``parse_poly`` and ``str(BiPoly)`` round-trip exactly.
 
 A sum costs its terms once: they are collected in one dict, not added to a
-copy of the partial sum.  A power of one monomial is one monomial; products
-and powers of sums go through BiPoly's ring operations.
+copy of the partial sum.  A power or a product of single monomials is one
+monomial; products and powers of sums go through BiPoly's ring operations.
 """
 
 import re
@@ -25,6 +25,9 @@ from .errors import PolyParseError
 from .poly import BiPoly, _raw
 
 __all__ = ["parse_poly"]
+
+#: the coefficient of x and y; a product or power with it needs no arithmetic
+_ONE = Fraction(1)
 
 # Digits are ASCII only, as the printer writes them: str.isdigit would also
 # take '²' or '٣', which Fraction cannot read or reads as another digit.
@@ -84,20 +87,21 @@ class _Parser:
         total = {}
         while True:
             for key, c in self.term()._terms.items():
-                s = total.get(key, 0) + (c if op == "+" else -c)
-                if s:
-                    total[key] = s
-                else:
-                    del total[key]
+                total[key] = total.get(key, 0) + (c if op == "+" else -c)
             if self.peek() not in ("+", "-"):
-                return _raw(total)
+                return _raw({key: c for key, c in total.items() if c})
             op = self.advance()[0]
 
     def term(self) -> BiPoly:
         result = self.factor()
         while self.peek() == "*":
             self.advance()
-            result = result * self.factor()
+            rhs = self.factor()
+            if len(result._terms) == len(rhs._terms) == 1:
+                ((i, j), c), ((k, l), d) = *result._terms.items(), *rhs._terms.items()
+                result = _raw({(i + k, j + l): d if c is _ONE else c if d is _ONE else c * d})
+            else:
+                result = result * rhs
         return result
 
     def factor(self) -> BiPoly:
@@ -111,7 +115,7 @@ class _Parser:
         n = int(value)
         if len(base._terms) == 1:
             ((i, j), c), = base._terms.items()
-            return _raw({(i * n, j * n): c**n})
+            return _raw({(i * n, j * n): c if c is _ONE else c**n})
         return base**n
 
     def base(self) -> BiPoly:
@@ -123,9 +127,9 @@ class _Parser:
             self.advance()
             return inner
         if kind == "number":
-            return BiPoly.constant(value)
+            return _raw({(0, 0): value} if value else {})
         if kind in ("x", "y"):
-            return BiPoly.x() if kind == "x" else BiPoly.y()
+            return _raw({(1, 0) if kind == "x" else (0, 1): _ONE})
         message = "unexpected end of input" if kind == "end" else f"unexpected {kind!r}"
         raise self.error(message, at)
 

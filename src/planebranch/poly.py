@@ -6,7 +6,9 @@ polynomial remainder sequence), local intersection multiplicity at the
 origin, and the Milnor number, which are the exact backbone for everything
 else in the package.
 
-The resultant clears denominators and runs over Z[x].  Each Z[x]
+Coefficients are Fractions, but products and jacobians convolve int
+numerators over one lcm of denominators (_numerators) and build one
+Fraction per result term; the resultant clears them alike, over Z[x].  Each Z[x]
 coefficient is a sparse dict {x-exponent: int}, so its cost follows the
 number of terms, not the x-degree: an x^(mu+2)*y tail or an exponent of
 10^12 adds a term, not a list of zeros.
@@ -14,28 +16,19 @@ number of terms, not the x-degree: an x^(mu+2)*y tail or an exponent of
 The module also keeps one slot: the last branch that branch._am_iteration
 certified, with its characteristic approximate roots and semigroup.  An
 intersection number with that branch or one of its roots is read off an
-expansion in the roots, over sparse {x-exponent: Fraction} rows, in place
-of a resultant.
+expansion in the roots, in place of a resultant, over the same integer
+rows in the coordinate Y = D*y (see _certify).
 """
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from math import gcd, inf, lcm
 
 from ._value import _is_int, _rational
-from .errors import ValidationError
+from .errors import ValidationError, _digit_limit
 
 _RATIONAL_TYPES = (int, Fraction)
-
-
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if _is_int(value):
-        return Fraction(value)
-    return _rational(value, "coefficients", "rational")
 
 
 class BiPoly:
@@ -53,7 +46,7 @@ class BiPoly:
             for (i, j), c in dict(terms).items():
                 if not (_is_int(i) and _is_int(j)) or i < 0 or j < 0:
                     raise ValidationError(f"exponents must be nonnegative integers, got ({i}, {j})")
-                c = _coerce(c)
+                c = _rational(c, "coefficients", "rational")
                 if c:
                     data[(i, j)] = c
         self._terms = data
@@ -163,16 +156,13 @@ class BiPoly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        data = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
+        (a, da), (b, db) = _numerators(self._terms), _numerators(other._terms)
+        out = {}
+        for (i1, j1), c1 in a.items():
+            for (i2, j2), c2 in b.items():
                 key = (i1 + i2, j1 + j2)
-                s = data.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    data[key] = s
-                else:
-                    data.pop(key, None)
-        return _raw(data)
+                out[key] = out.get(key, 0) + c1 * c2
+        return _over(out, da * db)
 
     __rmul__ = __mul__
 
@@ -199,8 +189,8 @@ class BiPoly:
         return _raw({(i, j - 1): c * j for (i, j), c in self._terms.items() if j})
 
     def evaluate(self, xv, yv) -> Fraction:
-        xv = _coerce(xv)
-        yv = _coerce(yv)
+        xv = _rational(xv, "coefficients", "rational")
+        yv = _rational(yv, "coefficients", "rational")
         total = Fraction(0)
         for (i, j), c in self._terms.items():
             total += c * xv**i * yv**j
@@ -248,7 +238,7 @@ class BiPoly:
         if not self._terms:
             return "0"
         pieces = []
-        try:
+        with _digit_limit():
             for (i, j), c in sorted(self._terms.items(), key=lambda t: (-t[0][1], -t[0][0])):
                 factors = []
                 if i:
@@ -263,10 +253,6 @@ class BiPoly:
                     pieces.append(body if c > 0 else "-" + body)
                 else:
                     pieces.append(("+ " if c > 0 else "- ") + body)
-        except ValueError:
-            # str() of an int refuses more digits than the interpreter's limit
-            limit = sys.get_int_max_str_digits()
-            raise ValidationError(f"cannot print a number of more than {limit} digits") from None
         return " ".join(pieces)
 
     def __repr__(self) -> str:
@@ -279,6 +265,22 @@ def _raw(data: dict) -> BiPoly:
     return p
 
 
+def _numerators(terms: dict):
+    """(nums, den): the Fraction values of terms as ints over their least
+    common denominator den, under the same keys."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    if den == 1:
+        return {k: c.numerator for k, c in terms.items()}, 1
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+
+def _over(nums: dict, den: int) -> BiPoly:
+    """The BiPoly with values nums[k] / den, zeros dropped."""
+    if den == 1:
+        return _raw({k: Fraction(c) for k, c in nums.items() if c})
+    return _raw({k: Fraction(c, den) for k, c in nums.items() if c})
+
+
 def _as_poly(value):
     if isinstance(value, BiPoly):
         return value
@@ -288,27 +290,37 @@ def _as_poly(value):
 
 
 def jacobian_det(g: BiPoly, f: BiPoly) -> BiPoly:
-    """Jacobian determinant g_x f_y - g_y f_x."""
-    return g.diff_x() * f.diff_y() - g.diff_y() * f.diff_x()
+    """Jacobian determinant g_x f_y - g_y f_x in one convolution: terms c1 x^i1 y^j1
+    of g and c2 x^i2 y^j2 of f give (i1 j2 - j1 i2) c1 c2 x^(i1+i2-1) y^(j1+j2-1)."""
+    (a, da), (b, db) = _numerators(g._terms), _numerators(f._terms)
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            w = i1 * j2 - j1 * i2
+            if w:
+                key = (i1 + i2 - 1, j1 + j2 - 1)
+                out[key] = out.get(key, 0) + w * c1 * c2
+    return _over(out, da * db)
 
 
 # ---------------------------------------------------------------------------
 # Univariate integer polynomials in x for the resultant, stored sparse as
 # {x-exponent: int} with no zero entries.  A y-polynomial over Z[x] is a list
-# of them indexed by y-power, with a nonzero last entry.  The ring helpers
-# serve the same rows over Q, with Fraction values, in the expansion below.
+# of them indexed by y-power, with a nonzero last entry; so is the expansion
+# below, in Y = D*y.  _z_mul also serves Fraction rows in approximate_root.
 # ---------------------------------------------------------------------------
 
 
-def _z_sub(p, q):
-    out = dict(p)
-    for i, c in q.items():
-        s = out.get(i, 0) - c
-        if s:
-            out[i] = s
-        else:
-            del out[i]
-    return out
+def _z_submul(r, p, q):
+    """r - p*q, without building p*q; r itself when p or q is zero."""
+    if not (p and q):
+        return r
+    out = dict(r)
+    for a, ca in p.items():
+        for b, cb in q.items():
+            k = a + b
+            out[k] = out.get(k, 0) - ca * cb
+    return {k: c for k, c in out.items() if c}
 
 
 def _z_mul(p, q):
@@ -372,32 +384,34 @@ def _yp_prem(A, B):
     """Pseudo-remainder of A by B: lc(B)^(deg A - deg B + 1) A mod B."""
     dB = len(B) - 1
     lb = B[dB]
+    unit = lb == {0: 1}
     R = list(A)
     e = len(R) - dB
     while len(R) > dB:
         # the top term cancels by construction, so it is dropped, not computed
         lr = R.pop()
         shift = len(R) - dB
-        R = [_z_mul(lb, c) for c in R]
+        if not unit:
+            R = [_z_mul(lb, c) for c in R]
         for t in range(dB):
-            R[t + shift] = _z_sub(R[t + shift], _z_mul(lr, B[t]))
+            R[t + shift] = _z_submul(R[t + shift], lr, B[t])
         _trim(R)
         e -= 1
-    if e > 0:
+    if e > 0 and not unit:
         scale = _z_pow(lb, e)
         R = [_z_mul(scale, c) for c in R]
     return R
 
 
-def _clear_denominators(f: BiPoly):
-    """Return (coeffs, den): coeffs[j] is the x-polynomial of y^j in den*f, over Z."""
-    den = 1
-    for c in f._terms.values():
-        den = lcm(den, c.denominator)
-    coeffs = [{} for _ in range(f.deg_y() + 1)]
-    for (i, j), c in f._terms.items():
-        coeffs[j][i] = c.numerator * (den // c.denominator)
-    return coeffs, den
+def _clear_denominators(f: BiPoly, D: int = 1):
+    """(rows, den), den the lcm of f's denominators: rows[j] is the Z[x] row
+    of Y^j in den * D^d * f(x, Y/D), d = deg_y f; den * f when D = 1."""
+    nums, den = _numerators(f._terms)
+    d = f.deg_y()
+    rows = [{} for _ in range(d + 1)]
+    for (i, j), c in nums.items():
+        rows[j][i] = c * D ** (d - j) if D > 1 else c
+    return rows, den
 
 
 def resultant_y(f: BiPoly, h: BiPoly) -> BiPoly:
@@ -414,18 +428,18 @@ def resultant_y(f: BiPoly, h: BiPoly) -> BiPoly:
         raise ValidationError("resultant_y needs y-degree >= 1 in at least one argument")
     A, dena = _clear_denominators(f)
     B, denb = _clear_denominators(h)
-    scale = Fraction(1, dena**dh * denb**df)
+    sign = 1
     if df < dh:
         A, B = B, A
         if df * dh % 2 == 1:
-            scale = -scale
+            sign = -sign
     g = {0: 1}
     hpow = {0: 1}
     while len(B) > 1:
         dA, dB = len(A) - 1, len(B) - 1
         delta = dA - dB
         if dA % 2 == 1 and dB % 2 == 1:
-            scale = -scale
+            sign = -sign
         R = _yp_prem(A, B)
         if not R:
             return BiPoly.zero()
@@ -436,11 +450,8 @@ def resultant_y(f: BiPoly, h: BiPoly) -> BiPoly:
         if delta > 0:
             hpow = _z_div(_z_pow(g, delta), _z_pow(hpow, delta - 1))
     dA = len(A) - 1
-    return _from_z(_z_div(_z_pow(B[0], dA), _z_pow(hpow, dA - 1)), scale)
-
-
-def _from_z(p, scale: Fraction) -> BiPoly:
-    return _raw({(i, 0): c * scale for i, c in p.items()})
+    res = _z_div(_z_pow(B[0], dA), _z_pow(hpow, dA - 1))
+    return _over({(i, 0): sign * c for i, c in res.items()}, dena**dh * denb**df)
 
 
 # ---------------------------------------------------------------------------
@@ -503,22 +514,26 @@ def _resultant_intersection(f: BiPoly, h: BiPoly):
 
 
 #: the last certified branch f as (the chain f_0, ..., f_(g-1), f, its
-#: semigroup generators, the chain's y-rows); one slot, so memory stays bounded
-_certified = ((), (), [])
+#: generators, D, the chain's Y-rows); one slot, so memory stays bounded
+_certified = ((), (), 1, [])
 
 
 def _certify(chain, generators):
-    """Keep a certified branch, chain[-1], for intersection_multiplicity."""
+    """Keep a certified branch, chain[-1], for intersection_multiplicity.
+
+    With D the lcm of every denominator in the chain, a member p of
+    y-degree d is kept as D^d p(x, Y/D): row j is c D^(d-j), monic and
+    integral in Y = D*y; a partner h as a constant multiple of h(x, Y/D).
+    (x, y) -> (x, Y/D) is linear, so it keeps intersection numbers, and it
+    scales each monomial x^a f_0^e_0 ... of the expansion by a nonzero
+    constant, so the same monomials occur and _least_value reads the same.
+    """
     global _certified
-    _certified = (chain, generators, [_rows(p) for p in chain])
-
-
-def _rows(p: BiPoly):
-    """The y-coefficients of p, lowest first, as {x-exponent: Fraction} rows."""
-    rows = [{} for _ in range(p.deg_y() + 1)]
-    for (i, j), c in p._terms.items():
-        rows[j][i] = c
-    return rows
+    D = lcm(*[c.denominator for p in chain for c in p._terms.values()])
+    scaled = [_clear_denominators(p, D) for p in chain]  # den * D^d p(x, Y/D)
+    rows = [r if den == 1 else [{i: c // den for i, c in row.items()} for row in r]
+            for r, den in scaled]
+    _certified = (chain, generators, D, rows)
 
 
 def _divmod_monic(A, B):
@@ -531,18 +546,18 @@ def _divmod_monic(A, B):
         s = len(R) - d
         Q[s] = top
         for t in range(d):
-            R[s + t] = _z_sub(R[s + t], _z_mul(top, B[t]))
+            R[s + t] = _z_submul(R[s + t], top, B[t])
     return Q, _trim(R)
 
 
 def _expansion_intersection(branch: BiPoly, h: BiPoly):
     """I(branch, h) by the expansion route; None when branch is not in the slot."""
-    chain, gens, rows = _certified
+    chain, gens, D, rows = _certified
     for k, p in enumerate(chain):
         if p == branch:
             # entry k is a branch with semigroup v_0 / l_k, ..., v_k / l_k
             l_k = gcd(*gens[: k + 1])
-            rem = _divmod_monic(_rows(h), rows[k])[1]
+            rem = _divmod_monic(_clear_denominators(h, D)[0], rows[k])[1]
             return _least_value(rem, rows[:k], [v // l_k for v in gens[: k + 1]]) if rem else inf
     return None
 

@@ -5,7 +5,9 @@ resultant goes through evaluated Sylvester determinants plus Lagrange
 interpolation, the hull through support-direction minimisation, the
 Milnor number through brute-force gap counting in the semigroup, the
 polar invariants through their closed formula on the generators, the
-approximate roots through the p-th power of each partial root.
+approximate roots through the p-th power of each partial root, and
+products, powers and jacobians through one Fraction operation per pair of
+terms, where the library works on integer numerators.
 """
 
 import math
@@ -175,3 +177,27 @@ def approximate_root_by_powers(f: BiPoly, p: int) -> BiPoly:
         delta = f.y_coefficient(target) - (g**p).y_coefficient(target)
         g = g + (delta * Fraction(1, p)).shift_y(m - j)
     return g
+
+
+def product_by_fractions(p: BiPoly, q: BiPoly) -> BiPoly:
+    """p * q term by term, one Fraction product and sum per pair of terms."""
+    data = {}
+    for (i1, j1), c1 in p.terms():
+        for (i2, j2), c2 in q.terms():
+            key = (i1 + i2, j1 + j2)
+            data[key] = data.get(key, Fraction(0)) + c1 * c2
+    return BiPoly(data)
+
+
+def power_by_fractions(p: BiPoly, n: int) -> BiPoly:
+    """p^n as n products by product_by_fractions, starting from 1."""
+    result = BiPoly.one()
+    for _ in range(n):
+        result = product_by_fractions(result, p)
+    return result
+
+
+def jacobian_by_fractions(g: BiPoly, f: BiPoly) -> BiPoly:
+    """g_x f_y - g_y f_x from the derivatives, two products and a difference."""
+    return (product_by_fractions(g.diff_x(), f.diff_y())
+            - product_by_fractions(g.diff_y(), f.diff_x()))

@@ -163,6 +163,29 @@ def test_numbers_past_the_digit_limit(capsys, digit_limit):
                                "message": f"cannot print a number of more than {digit_limit} digits"}
 
 
+# (x^a)^b parses with two 2,200-digit numbers; the branch y^2 - x^(a*b)
+# then has a generator of about 4,400 digits.  With a = b that exponent is
+# even, and the Abhyankar-Moh run fails with a message that would quote it.
+@pytest.mark.parametrize("a, b", [(10**2199 + 1, 3 * 10**2199 + 7), (10**2199, 10**2199)],
+                         ids=["printed generator", "quoted intersection"])
+def test_semigroup_numbers_past_the_digit_limit(capsys, digit_limit, a, b):
+    f = f"y^2-(x^{a})^{b}"
+    message = f"cannot print a number of more than {digit_limit} digits"
+    code, out, err = run(capsys, "semigroup", "--f", f)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    code, out, err = run(capsys, "semigroup", "--f", f, "--json")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValidationError", "message": message}
+
+
+def test_family_number_past_the_digit_limit(capsys, digit_limit, tmp_path):
+    family = tmp_path / "family.json"
+    family.write_text(f'{{"semigroup": [2, {"3" * (digit_limit + 1)}], "diagrams": []}}')
+    code, out, err = run(capsys, "recover", "--family", str(family))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {family} is not valid JSON: ") and "Traceback" not in err
+
+
 def test_jnd_flag_conflicts(capsys):
     code, _, err = run(capsys, "jnd", "--semigroup", "4,6,13", "--f", F2)
     assert code == 1 and "exactly one" in err

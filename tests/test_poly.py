@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import sylvester_resultant
+from oracles import (
+    jacobian_by_fractions,
+    power_by_fractions,
+    product_by_fractions,
+    sylvester_resultant,
+)
 from planebranch import (
     BiPoly,
     Semigroup,
@@ -33,6 +38,12 @@ y = BiPoly.y
 coeffs = st.fractions(min_value=-8, max_value=8, max_denominator=4).filter(bool)
 polys = st.dictionaries(
     st.tuples(st.integers(0, 4), st.integers(0, 4)), coeffs, max_size=6
+).map(BiPoly)
+# small rationals and ones with 40-digit numerators over 30-digit denominators
+rationals = st.one_of(coeffs, st.builds(Fraction, st.integers(-10**40, 10**40),
+                                        st.integers(1, 10**30)))
+rational_polys = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)), rationals, max_size=6
 ).map(BiPoly)
 
 
@@ -173,6 +184,27 @@ def test_diff_product_rule(p, q):
     assert (p * q).diff_y() == p.diff_y() * q + p * q.diff_y()
 
 
+@given(rational_polys, rational_polys, st.integers(0, 4))
+def test_integer_kernel_matches_the_fraction_oracles(p, q, e):
+    """Products, powers and jacobians on integer numerators equal the
+    term-by-term Fraction loops, zero polynomial and cancellations included."""
+    cases = [
+        (p * q, product_by_fractions(p, q)),
+        (p * BiPoly.zero(), BiPoly.zero()),
+        # the cross terms of (p + q)(p - q) cancel
+        ((p + q) * (p - q), product_by_fractions(p + q, p - q)),
+        (p**e, power_by_fractions(p, e)),
+        (jacobian_det(p, q), jacobian_by_fractions(p, q)),
+        # J(p, p^e) = e p^(e-1) J(p, p): every coefficient cancels to zero
+        (jacobian_det(p, p**e), jacobian_by_fractions(p, p**e)),
+        (jacobian_det(p, BiPoly.zero()), BiPoly.zero()),
+    ]
+    for fast, slow in cases:
+        assert fast == slow
+        assert all(type(c) is Fraction for c in fast._terms.values())
+    assert jacobian_det(p, p**e).is_zero()
+
+
 def test_jacobian_det_antisymmetry():
     f = y(2) - x(3)
     g = y(3) + x() * y()
@@ -293,19 +325,28 @@ def _counted_resultants(monkeypatch):
     return calls
 
 
+def _scale_x(p, c):
+    # substitute x -> c*x
+    return BiPoly({(i, j): a * c**i for (i, j), a in p.terms()})
+
+
 def test_expansion_route_matches_resultant_route(monkeypatch):
-    """Seeded certified branches of genus 1-3 and multiplicity <= 12, every
-    second one with an x^(mu+2)*y tail.  The branch is f or one of its
+    """Seeded certified branches of genus 1-3 and multiplicity <= 12: 48
+    built ones, every second with an x^(mu+2)*y tail, then 16 with rational
+    coefficients, f(2x/3, y) or f(5x/7, y), so that the common denominator
+    of the chain has several primes.  The branch is f or one of its
     approximate roots; the partners cover random polynomials, their
     multiples of f plus a remainder, the jacobians, x powers, a unit and
     the branch itself."""
     rng = random.Random(20261018)
     calls = _counted_resultants(monkeypatch)
     pairs = 0
-    for i in range(48):
+    for i in range(64):
         s = random_semigroup(rng, max_genus=3, max_generator=10**3, max_multiplicity=12)
         f = build_test_branch(s)
-        if i % 2:
+        if i >= 48:
+            f = _scale_x(f, Fraction(2, 3) if i % 2 else Fraction(5, 7))
+        elif i % 2:
             f = f + BiPoly.monomial(1, s.milnor() + 2, 1)
         chain = (*characteristic_roots(f), f)
         jacobians = [jacobian_det(fk, f) for fk in chain[:-1]]
@@ -323,7 +364,9 @@ def test_expansion_route_matches_resultant_route(monkeypatch):
                 pairs += 1
             assert intersection_multiplicity(branch, unit) == 0
             assert intersection_multiplicity(branch, branch) == math.inf
-    assert pairs > 1000
+        if i >= 48:
+            assert poly._certified[2] % 3 == 0 if i % 2 else poly._certified[2] % 7 == 0
+    assert pairs > 1300
 
 
 def test_jacobian_intersections_of_a_certified_branch_take_no_resultant(monkeypatch):
