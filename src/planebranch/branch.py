@@ -16,7 +16,8 @@ from math import gcd, inf, prod
 
 from ._value import Value, _is_int
 from .errors import ValidationError, _digit_limit
-from .poly import BiPoly, _certify, _raw, _resultant_intersection, _z_mul
+from .poly import (BiPoly, _certify, _expansion_intersection, _numerators, _one_edge, _raw,
+                   _y_rows, _z_mul)
 
 __all__ = [
     "CharSequence",
@@ -227,7 +228,10 @@ def approximate_root(f: BiPoly, p: int) -> BiPoly:
         W_n = (1/n) sum_{k=1..n} ((1/p + 1) k - n) V_k W_(n-k),
 
     and g = sum_j W_j y^(m-j): m(m+1)/2 products of x-polynomials in
-    place of a p-th power of g for each of its m = d/p coefficients.
+    place of a p-th power of g for each of its m = d/p coefficients.  With
+    V_k = U_k / delta over the lcm delta of f's denominators, the products
+    run on the integers N_n = p^n n! delta^n W_n, the sum over k of
+    (k(p+1) - np) (p delta)^(k-1) (n-1)!/(n-k)! U_k N_(n-k).
     """
     if f.is_zero() or not f.is_monic_in_y():
         raise ValidationError("approximate roots need a polynomial monic in y")
@@ -237,21 +241,28 @@ def approximate_root(f: BiPoly, p: int) -> BiPoly:
     if d % p:
         raise ValidationError(f"root exponent {p} must divide the y-degree {d}")
     m = d // p
-    V = {}
-    for (i, j), c in f._terms.items():
-        V.setdefault(d - j, {})[i] = c
-    W = [{0: Fraction(1)}]
+    nums, delta = _numerators(f._terms)
+    U = {}
+    for (i, j), c in nums.items():
+        U.setdefault(d - j, {})[i] = c
+    pd = p * delta
+    N = [{0: 1}]
     for n in range(1, m + 1):
-        # sum_k (k(p+1) - np) V_k W_(n-k), scaled by 1/(np) once at the end
         row = {}
+        scale = 1  # (p delta)^(k-1) (n-1)!/(n-k)!
         for k in range(1, n + 1):
-            weight = k * (p + 1) - n * p
-            if weight and k in V and W[n - k]:
-                for i, c in _z_mul(V[k], W[n - k]).items():
+            weight = (k * (p + 1) - n * p) * scale
+            if weight and k in U and N[n - k]:
+                for i, c in _z_mul(U[k], N[n - k]).items():
                     row[i] = row.get(i, 0) + weight * c
-        scale = Fraction(1, n * p)
-        W.append({i: c * scale for i, c in row.items() if c})
-    return _raw({(i, m - j): c for j, row in enumerate(W) for i, c in row.items()})
+            scale *= pd * (n - k)
+        N.append({i: c for i, c in row.items() if c})
+    out, den = {}, 1
+    for n, row in enumerate(N):
+        for i, c in row.items():
+            out[(i, m - n)] = Fraction(c, den)
+        den *= pd * (n + 1)
+    return _raw(out)
 
 
 @lru_cache(maxsize=1)
@@ -259,24 +270,45 @@ def approximate_root(f: BiPoly, p: int) -> BiPoly:
 def _am_iteration(f: BiPoly):
     """Semigroup generators and characteristic approximate roots of f.
 
-    Walks the gcd chain: at each level l the l-th approximate root is a
+    Walks the gcd chain: at each level l the l-th approximate root f_k is a
     curve of maximal contact and its intersection number with f is the next
     generator.  Any failure of the branch axioms along the way certifies
     that f is not an irreducible germ transverse to x = 0.  The last result
     is kept, so consecutive calls on one polynomial share one run; the
     roots come back as a tuple, and a failure is not kept.  A success is
     also handed to poly, whose intersection_multiplicity then reads
-    intersections with f and its roots off their expansion; the run itself
-    takes the resultant route, so no certificate rests on an earlier one.
+    intersections with f and its roots off their expansion.
+
+    The run takes no resultant: it reads its own numbers that way, level
+    by level.  f_0 has degree 1, a smooth branch.  Before f_k is used it
+    is certified as a branch whose roots are f_0, ..., f_(k-1), since
+    approximate roots are transitive: its generators deg f_k and
+    I(f_j, f_k), read off its expansion in each f_j, must be v_0 / l_k, ...,
+    v_k / l_k, as for a branch's roots (Popescu-Pampu, Approximate roots,
+    Fields Inst. Commun. 33, 2003), and form a semigroup.  Then the
+    expansion of f in f_0, ..., f_k gives I(f_k, f) exactly (Abhyankar and
+    Moh, J. reine angew. Math. 260, 1973).  The numbers alone do not make a
+    branch: (y^2-x^3)(y^3-x^4) meets y with order 7, prime to 5.  So the
+    expansion of f_k in f_(k-1), and of f in its last root, must also be
+    one Newton edge (Abhyankar, Adv. Math. 74, 1989); with
+    v_(q+1) > n_q v_q that gives one edge at every lower level too.  A root
+    that fails its certificate shows that f is not a branch.
     """
     _require_weierstrass(f, "semigroup computation")
     n = f.deg_y()
-    gens = [n]
-    roots = []
+    f_rows, D = _y_rows(f, 1)
+    rows = [f_rows]  # Y-rows under D of f_0, ..., f_k and then f
+    gens, roots = [n], []
     l = n
     while l > 1:
         fk = approximate_root(f, l)
-        b = _resultant_intersection(f, fk)
+        fk_rows, grown = _y_rows(fk, D)
+        if grown != D:
+            D, rows = grown, [_y_rows(p, grown)[0] for p in (*roots, f)]
+        rows.insert(-1, fk_rows)
+        weights = [v // l for v in gens]
+        _check_root(rows[:-1], gens)
+        b, q = _expansion_intersection(rows[:-1], weights, rows[-1])
         if b == inf:
             raise ValidationError(
                 "not an irreducible branch: f shares a component with an approximate root"
@@ -294,6 +326,11 @@ def _am_iteration(f: BiPoly):
                 "not an irreducible branch: intersection with an approximate root "
                 f"does not refine the gcd chain (level {l}, intersection {b})"
             )
+        if new_l == 1 and not _one_edge(rows[:-1], weights, b, q):
+            raise ValidationError(
+                "not an irreducible branch: its expansion in the approximate root of "
+                f"degree {n // l} is not one Newton edge"
+            )
         gens.append(b)
         roots.append(fk)
         l = new_l
@@ -301,8 +338,37 @@ def _am_iteration(f: BiPoly):
         s = Semigroup(tuple(gens))
     except ValidationError as exc:
         raise ValidationError(f"not an irreducible branch: {exc}") from exc
-    _certify((*roots, f), s.generators)
+    _certify((*roots, f), s.generators, D, rows)
     return s, tuple(roots)
+
+
+def _check_root(rows, gens):
+    """Certify f_k, the last of rows, given the certified f_0, ..., f_(k-1)
+    before it and f's generators v_0, ..., v_k; see _am_iteration.  Raises
+    ValidationError naming f_k when it is not a branch."""
+    k, levels = len(rows) - 1, _gcd_chain(gens)
+    own, why = [len(rows[k]) - 1], None
+    for j in range(k):
+        weights = [v // levels[j] for v in gens[: j + 1]]
+        b, q = _expansion_intersection(rows[: j + 1], weights, rows[k])
+        own.append(b)
+        if b == inf:
+            why = f"it shares a component with the root of degree {len(rows[j]) - 1}"
+            break
+        if j == k - 1 and not _one_edge(rows[:k], weights, b, q):
+            why = f"its expansion in the root of degree {len(rows[j]) - 1} is not one Newton edge"
+    if not why and own != [v // levels[k] for v in gens]:
+        why = f"its generators {tuple(own)} are not f's first ones over {levels[k]}"
+    if not why:
+        try:
+            Semigroup(tuple(own))
+            return
+        except ValidationError as exc:
+            why = str(exc)
+    raise ValidationError(
+        f"not an irreducible branch: its approximate root of degree {own[0]} "
+        f"is not a branch ({why})"
+    )
 
 
 def semigroup_of(f: BiPoly) -> Semigroup:

@@ -13,11 +13,14 @@ coefficient is a sparse dict {x-exponent: int}, so its cost follows the
 number of terms, not the x-degree: an x^(mu+2)*y tail or an exponent of
 10^12 adds a term, not a list of zeros.
 
-The module also keeps one slot: the last branch that branch._am_iteration
-certified, with its characteristic approximate roots and semigroup.  An
-intersection number with that branch or one of its roots is read off an
-expansion in the roots, in place of a resultant, over the same integer
-rows in the coordinate Y = D*y (see _certify).
+An intersection number with a certified branch or one of its roots is
+read off an expansion in the roots, in place of a resultant, over integer
+rows in the coordinate Y = D*y (see _y_rows); branch._am_iteration
+certifies each root that way before it reads the next generator off f.
+The module keeps one slot: the last branch certified, with its roots,
+semigroup, D and rows, which intersection_multiplicity reads.  The
+resultant serves everything else: generic pairs, milnor_number and
+resultant_y itself.
 """
 
 from __future__ import annotations
@@ -487,7 +490,7 @@ def intersection_multiplicity(f: BiPoly, h: BiPoly):
     unit, which covers every use in this package.
     """
     for branch, other in ((f, h), (h, f)):
-        value = _expansion_intersection(branch, other) if other else None
+        value = _certified_intersection(branch, other) if other else None
         if value is not None:
             return value
     return _resultant_intersection(f, h)
@@ -518,48 +521,79 @@ def _resultant_intersection(f: BiPoly, h: BiPoly):
 _certified = ((), (), 1, [])
 
 
-def _certify(chain, generators):
-    """Keep a certified branch, chain[-1], for intersection_multiplicity.
-
-    With D the lcm of every denominator in the chain, a member p of
-    y-degree d is kept as D^d p(x, Y/D): row j is c D^(d-j), monic and
-    integral in Y = D*y; a partner h as a constant multiple of h(x, Y/D).
-    (x, y) -> (x, Y/D) is linear, so it keeps intersection numbers, and it
-    scales each monomial x^a f_0^e_0 ... of the expansion by a nonzero
-    constant, so the same monomials occur and _least_value reads the same.
-    """
+def _certify(chain, generators, D, rows):
+    """Keep a certified branch, chain[-1], for intersection_multiplicity,
+    with the chain's Y-rows under D (see _y_rows) that certified it."""
     global _certified
-    D = lcm(*[c.denominator for p in chain for c in p._terms.values()])
-    scaled = [_clear_denominators(p, D) for p in chain]  # den * D^d p(x, Y/D)
-    rows = [r if den == 1 else [{i: c // den for i, c in row.items()} for row in r]
-            for r, den in scaled]
     _certified = (chain, generators, D, rows)
+
+
+def _y_rows(p: BiPoly, D: int):
+    """(rows, D') with D' the lcm of D and p's denominators: row j of
+    D'^d p(x, Y/D'), d = deg_y p, is c D'^(d-j), integral and monic in
+    Y = D'*y for a monic p.  The change of coordinates is linear, and it
+    scales each monomial x^a f_0^e_0 ... of an expansion by a nonzero
+    constant, so intersection numbers and _least_value read the same."""
+    nums, den = _numerators(p._terms)
+    D, d = lcm(D, den), p.deg_y()
+    powers = [D ** (d - j) for j in range(d + 1)]
+    rows = [{} for _ in range(d + 1)]
+    for (i, j), c in nums.items():
+        rows[j][i] = c * powers[j] // den
+    return rows, D
 
 
 def _divmod_monic(A, B):
     """Quotient and remainder in y of the rows A by the monic rows B."""
     d = len(B) - 1
-    Q = [{} for _ in range(len(A) - d)]
+    lower = [(t, row) for t, row in enumerate(B[:d]) if row]
+    Q = []
     R = list(A)
     while len(R) > d:
         top = R.pop()
+        Q.append(top)
         s = len(R) - d
-        Q[s] = top
-        for t in range(d):
-            R[s + t] = _z_submul(R[s + t], top, B[t])
+        for t, row in lower:
+            R[s + t] = _z_submul(R[s + t], top, row)
+    Q.reverse()
     return Q, _trim(R)
 
 
-def _expansion_intersection(branch: BiPoly, h: BiPoly):
+def _certified_intersection(branch: BiPoly, h: BiPoly):
     """I(branch, h) by the expansion route; None when branch is not in the slot."""
     chain, gens, D, rows = _certified
     for k, p in enumerate(chain):
         if p == branch:
             # entry k is a branch with semigroup v_0 / l_k, ..., v_k / l_k
             l_k = gcd(*gens[: k + 1])
-            rem = _divmod_monic(_clear_denominators(h, D)[0], rows[k])[1]
-            return _least_value(rem, rows[:k], [v // l_k for v in gens[: k + 1]]) if rem else inf
+            weights = [v // l_k for v in gens[: k + 1]]
+            return _expansion_intersection(rows[: k + 1], weights,
+                                           _clear_denominators(h, D)[0])[0]
     return None
+
+
+def _expansion_intersection(rows, weights, h):
+    """(I(p, h), q) for a branch p with semigroup weights and Y-rows
+    rows[-1], whose characteristic approximate roots have Y-rows rows[:-1],
+    and h a nonzero constant multiple of a polynomial's Y-rows under the
+    same D; h = q p + c_0, and the value is the least one of c_0."""
+    q, rem = _divmod_monic(h, rows[-1])
+    return (_least_value(rem, rows[:-1], weights) if rem else inf), q
+
+
+def _one_edge(rows, weights, b, q):
+    """Whether every digit c_e of h = sum_{e <= l} c_e p^e, whose
+    I(p, h) = b and quotient q come from _expansion_intersection, keeps
+    l I(p, c_e) >= (l - e) b, on or above the Newton edge from (b, 0) to
+    (0, l).  A term x^a adds monomials of value at least a * weights[0] to
+    the digits it reaches, so terms past the edge are dropped first."""
+    l = (len(q) - 1) // (len(rows[-1]) - 1) + 1
+    for e in range(1, l):
+        q = [{i: c for i, c in row.items() if l * i * weights[0] < (l - e) * b} for row in q]
+        q, digit = _divmod_monic(q, rows[-1])
+        if digit and l * _least_value(digit, rows[:-1], weights) < (l - e) * b:
+            return False
+    return True
 
 
 def _least_value(r, roots, w):

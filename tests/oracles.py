@@ -5,15 +5,22 @@ resultant goes through evaluated Sylvester determinants plus Lagrange
 interpolation, the hull through support-direction minimisation, the
 Milnor number through brute-force gap counting in the semigroup, the
 polar invariants through their closed formula on the generators, the
-approximate roots through the p-th power of each partial root, and
+approximate roots through the p-th power of each partial root,
 products, powers and jacobians through one Fraction operation per pair of
-terms, where the library works on integer numerators.
+terms, where the library works on integer numerators.  The Abhyankar-Moh
+iteration goes through one resultant per level, and Abhyankar's
+irreducibility criterion through BiPoly long division with a Newton edge
+asked at every level, where the library reads each level off an expansion
+on integer rows and asks for the edge at the last level of each polynomial.
 """
 
 import math
 from fractions import Fraction
+from math import gcd, inf
 
-from planebranch.poly import BiPoly
+from planebranch.branch import Semigroup, approximate_root
+from planebranch.errors import ValidationError
+from planebranch.poly import BiPoly, _resultant_intersection
 
 
 def det_fraction(matrix):
@@ -201,3 +208,98 @@ def jacobian_by_fractions(g: BiPoly, f: BiPoly) -> BiPoly:
     """g_x f_y - g_y f_x from the derivatives, two products and a difference."""
     return (product_by_fractions(g.diff_x(), f.diff_y())
             - product_by_fractions(g.diff_y(), f.diff_x()))
+
+
+def am_iteration_by_resultants(f: BiPoly):
+    """(semigroup, roots) of a Weierstrass polynomial f, each generator
+    I(f, f_k) taken from the y-resultant; ValidationError when a level breaks
+    the branch axioms, with the messages the library gives for f's levels."""
+    n = f.deg_y()
+    gens = [n]
+    roots = []
+    l = n
+    while l > 1:
+        fk = approximate_root(f, l)
+        b = _resultant_intersection(f, fk)
+        if b == inf:
+            raise ValidationError(
+                "not an irreducible branch: f shares a component with an approximate root"
+            )
+        # a branch's second generator is never a multiple of n, so b == n
+        # is a reducible curve, which the gcd check below reports
+        if len(gens) == 1 and b < n:
+            raise ValidationError(
+                "branch is tangent to x = 0 in these coordinates (second generator "
+                f"{b} < multiplicity {n}); swap x and y and retry"
+            )
+        new_l = gcd(l, b)
+        if new_l == l:
+            raise ValidationError(
+                "not an irreducible branch: intersection with an approximate root "
+                f"does not refine the gcd chain (level {l}, intersection {b})"
+            )
+        gens.append(b)
+        roots.append(fk)
+        l = new_l
+    try:
+        s = Semigroup(tuple(gens))
+    except ValidationError as exc:
+        raise ValidationError(f"not an irreducible branch: {exc}") from exc
+    return s, tuple(roots)
+
+
+def _divmod_y(h: BiPoly, p: BiPoly):
+    """Quotient and remainder of h by p, monic in y, by BiPoly long division."""
+    q, r, d = BiPoly.zero(), h, p.deg_y()
+    while r and r.deg_y() >= d:
+        j = r.deg_y()
+        top = r.y_coefficient(j).shift_y(j - d)
+        q, r = q + top, r - top * p
+    return q, r
+
+
+def _least_monomial_value(c: BiPoly, roots, weights):
+    """Least value of the monomials x^a prod roots[i]^e_i of c, deg_y c below
+    that of the next root, x weighing weights[0] and roots[i] weights[i+1]."""
+    if not roots:
+        return weights[0] * c.ord_x()
+    best, e = inf, 0
+    while c:
+        c, digit = _divmod_y(c, roots[-1])
+        if digit:
+            best = min(best, _least_monomial_value(digit, roots[:-1], weights)
+                       + e * weights[len(roots)])
+        e += 1
+    return best
+
+
+def semigroup_by_criterion(f: BiPoly):
+    """The semigroup of f by Abhyankar's irreducibility criterion, or None
+    when f is not a branch transverse to x = 0.
+
+    One shot, with every level asked: at the level l of the gcd chain the
+    whole expansion f = sum_e c_e f_k^e in the l-th approximate root f_k is
+    valued with f's generators so far over l, the next generator is the
+    value of c_0, and every digit must lie on or above the Newton edge from
+    (value of c_0, 0) to (0, l) (Abhyankar, Adv. Math. 74, 1989).
+    """
+    n = f.deg_y()
+    gens, roots, l = [n], [], n
+    while l > 1:
+        roots.append(approximate_root(f, l))
+        weights = [v // l for v in gens]
+        values, h = [], f
+        while h:
+            h, digit = _divmod_y(h, roots[-1])
+            values.append(_least_monomial_value(digit, roots[:-1], weights) if digit else inf)
+        b = values[0]
+        if b == inf or (len(gens) == 1 and b < n) or gcd(l, b) == l:
+            return None
+        if any(l * v < (l - e) * b for e, v in enumerate(values) if v != inf):
+            return None
+        gens.append(b)
+        l = gcd(l, b)
+    try:
+        return Semigroup(tuple(gens))
+    except ValidationError:
+        return None

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import approximate_root_by_powers, conductor_by_gaps
+from oracles import (am_iteration_by_resultants, approximate_root_by_powers, conductor_by_gaps,
+                     semigroup_by_criterion)
 from planebranch import (
     BiPoly,
     CharSequence,
+    PlanebranchError,
     Semigroup,
     ValidationError,
     approximate_root,
@@ -18,6 +20,7 @@ from planebranch import (
     char_to_semigroup,
     characteristic_roots,
     milnor_from_semigroup,
+    milnor_number,
     parse_poly,
     random_semigroup,
     random_test_branch,
@@ -253,3 +256,100 @@ def test_build_test_branch_leaves_its_run_for_the_caller():
     assert branch._am_iteration.cache_info().misses == 1
     assert semigroup_of(f) == Semigroup((6, 8, 27))
     assert branch._am_iteration.cache_info().misses == 1
+
+
+# -- the expansion route against the resultant route ----------------------------
+
+
+def _outcome(am_run, f):
+    """(semigroup, roots) of a run, or the name of the error it raised."""
+    branch._am_iteration.cache_clear()
+    try:
+        return am_run(f)
+    except PlanebranchError as exc:
+        return type(exc).__name__
+
+
+def _scale_x(p, c):
+    # substitute x -> c*x
+    return BiPoly({(i, j): a * c**i for (i, j), a in p.terms()})
+
+
+def test_am_iteration_matches_the_resultant_oracle_on_branches():
+    """150 seeded certified branches of genus 1-3 and multiplicity <= 16:
+    every third carries an x^(mu+2)*y tail, and every third is f(2x/3, y) or
+    f(5x/7, y), so that the roots have denominators.  The semigroup and the
+    roots equal those of one resultant per level, and the semigroup that of
+    Abhyankar's criterion asked at every level."""
+    rng = random.Random(20261019)
+    for i in range(150):
+        s = random_semigroup(rng, max_genus=3, max_generator=10**3, max_multiplicity=16)
+        f = build_test_branch(s)
+        if i % 3 == 1:
+            f = f + BiPoly.monomial(1, s.milnor() + 2, 1)
+        elif i % 3 == 2:
+            f = _scale_x(f, Fraction(2, 3) if i % 2 else Fraction(5, 7))
+        expected = am_iteration_by_resultants(f)
+        assert expected[0] == s == semigroup_by_criterion(f)
+        assert _outcome(branch._am_iteration, f) == expected, (i, s)
+
+
+# the inputs that semigroup_of or a command rejects elsewhere in tier-1, and
+# two products of branches
+TIER1_NON_BRANCHES = ("y^4-3*x^3*y^2+2*x^6", "y^3-x^3*y", "y^2-x", "y^2-x^2", "y*(y-x)",
+                      "y^2-x^2-x^3", "(y^2-x^3)*(y^2-x^3-x^4)", "(y^2-x^3)*(y^4-x^5)",
+                      "(y^3-x^5)^2+x^9", "(y^2-x^3)*(y^3-x^4)")
+
+
+def test_am_iteration_rejects_what_the_resultant_oracle_rejects():
+    """Products of two branches, near-squares f^2 + x^N, a branch times
+    y - x^a and a branch plus one monomial below its conductor: 300 seeded
+    inputs of multiplicity <= 12, then the non-branches of tier-1.
+
+    The run accepts exactly the inputs that Abhyankar's criterion, asked
+    at every level, accepts, with the same semigroup.  Where the resultant
+    route rejects, the run raises the same error type; where the run
+    accepts, the resultant route gives the same answer, and the Milnor
+    number is the conductor, as for a branch.  The resultant
+    route also accepts inputs whose expansion in an approximate root is not
+    one Newton edge, among them many products of two branches.  None of
+    those is a branch: a product is not, and for the rest the Milnor number
+    differs from the conductor of the semigroup that route reports."""
+    rng = random.Random(20261020)
+    pool = []
+    for i in range(24):
+        s = random_semigroup(rng, max_genus=2, max_generator=60, max_multiplicity=6)
+        f = build_test_branch(s)
+        pool.append((s, f + BiPoly.monomial(1, s.milnor() + 2, 1) if i % 2 else f))
+    cases = [(parse_poly(text), False) for text in TIER1_NON_BRANCHES]
+    while len(cases) < 300 + len(TIER1_NON_BRANCHES):
+        (s, f), (_, g) = rng.sample(pool, 2)
+        kind = len(cases) % 4
+        if kind == 0:
+            h = f * g
+        elif kind == 1:
+            h = f * f + x(rng.randint(1, 2 * s.milnor() + 5))
+        elif kind == 2:
+            h = f * (y() - x(rng.randint(1, 6)))
+        else:
+            h = f + BiPoly.monomial(rng.choice((1, -1, Fraction(1, 2))),
+                                    rng.randint(1, s.milnor()), rng.randrange(f.deg_y()))
+        if h.is_weierstrass():
+            cases.append((h, kind in (0, 2)))
+    counts = {"accepted": 0, "rejected": 0, "rejected, accepted by resultants": 0}
+    for h, product in cases:
+        expected = _outcome(am_iteration_by_resultants, h)
+        outcome = _outcome(branch._am_iteration, h)
+        assert not product or outcome == "ValidationError", h
+        criterion = semigroup_by_criterion(h)
+        assert criterion == (None if outcome == "ValidationError" else outcome[0]), h
+        if outcome != "ValidationError":
+            # a branch's Milnor number is the conductor of its semigroup
+            assert outcome == expected and milnor_number(h) == outcome[0].milnor(), h
+            counts["accepted"] += 1
+        elif expected == "ValidationError":
+            counts["rejected"] += 1
+        else:
+            assert product or milnor_number(h) != expected[0].milnor(), h
+            counts["rejected, accepted by resultants"] += 1
+    assert min(counts.values()) > 50, counts

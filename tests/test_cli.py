@@ -318,6 +318,26 @@ def test_exit_codes(capsys):
     assert code == 1
 
 
+def test_a_root_that_is_not_a_branch_is_named(capsys):
+    # (y^3-x^5)^2 + x^9 meets y with order 9, so its root of degree 2 is next;
+    # that root is y^2, which shares the component y = 0 with the root y
+    code, out, err = run(capsys, "semigroup", "--f", "(y^3-x^5)^2+x^9")
+    assert (code, out) == (1, "")
+    assert err == ("error: not an irreducible branch: its approximate root of degree 2 "
+                   "is not a branch (it shares a component with the root of degree 1)\n")
+    code, _, err = run(capsys, "roots", "--f", "(y^3-x^5)^2+x^9", "--json")
+    assert code == 1 and json.loads(err)["error"] == "ValidationError"
+
+
+def test_a_product_of_coprime_degrees_is_not_a_branch(capsys):
+    # I(y, f) = 3 + 4 = 7 is prime to 5, but x^4*y^2 lies below the Newton
+    # edge from y^5 to x^7
+    code, out, err = run(capsys, "semigroup", "--f", "(y^2-x^3)*(y^3-x^4)")
+    assert (code, out) == (1, "")
+    assert err == ("error: not an irreducible branch: its expansion in the approximate root "
+                   "of degree 1 is not one Newton edge\n")
+
+
 def test_json_error_envelope(capsys):
     code, _, err = run(capsys, "semigroup", "--f", "2x", "--json")
     assert code == 3

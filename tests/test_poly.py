@@ -382,13 +382,18 @@ def test_jacobian_intersections_of_a_certified_branch_take_no_resultant(monkeypa
     assert calls == []
 
 
-def test_am_iteration_takes_the_resultant_route_once_per_level(monkeypatch):
-    # f and its roots are certified before the run, so only an explicit
-    # resultant route makes these calls
-    f = build_test_branch(Semigroup((8, 12, 26, 53)))
+def test_semigroup_of_takes_no_resultant(monkeypatch):
+    # each level is read off an expansion in the approximate roots below it,
+    # in build_test_branch's run and in a fresh one
     calls = _counted_resultants(monkeypatch)
-    _am_iteration.cache_clear()
-    assert semigroup_of(f).genus == len(calls) == 3
+    for s, tail in ((Semigroup((8, 12, 26, 53)), False), (Semigroup((8, 20, 42, 85)), True)):
+        f = build_test_branch(s)
+        if tail:
+            f = f + BiPoly.monomial(1, s.milnor() + 2, 1)
+        _am_iteration.cache_clear()
+        assert semigroup_of(f) == s
+        assert len(characteristic_roots(f)) == s.genus == 3
+    assert calls == []
 
 
 def test_certifying_a_second_branch_replaces_the_slot(monkeypatch):
