@@ -11,13 +11,12 @@ defining equation through its approximate roots.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, inf, prod
 
+from . import poly
 from ._value import Value, _is_int
 from .errors import ValidationError, _digit_limit
-from .poly import (BiPoly, _certify, _expansion_intersection, _numerators, _one_edge, _raw,
-                   _y_rows, _z_mul)
+from .poly import BiPoly, _expansion_intersection, _numerators, _one_edge, _raw, _y_rows, _z_mul
 
 __all__ = [
     "CharSequence",
@@ -208,6 +207,8 @@ def approximate_root_semigroup(s: Semigroup, k: int) -> Semigroup:
 def _require_weierstrass(f: BiPoly, who: str):
     if f.is_zero() or not f.is_monic_in_y():
         raise ValidationError(f"{who} needs a polynomial monic in y")
+    if f.deg_y() < 1:
+        raise ValidationError(f"{who} needs a polynomial of y-degree at least 1")
     if not f.is_weierstrass():
         raise ValidationError(
             f"{who} needs a Weierstrass polynomial: coefficients below the "
@@ -265,19 +266,18 @@ def approximate_root(f: BiPoly, p: int) -> BiPoly:
     return _raw(out)
 
 
-@lru_cache(maxsize=1)
 @_digit_limit()  # a message may quote a number past the digit limit
 def _am_iteration(f: BiPoly):
-    """Semigroup generators and characteristic approximate roots of f.
+    """Semigroup and characteristic approximate roots of f, the roots as a tuple.
 
     Walks the gcd chain: at each level l the l-th approximate root f_k is a
     curve of maximal contact and its intersection number with f is the next
     generator.  Any failure of the branch axioms along the way certifies
-    that f is not an irreducible germ transverse to x = 0.  The last result
-    is kept, so consecutive calls on one polynomial share one run; the
-    roots come back as a tuple, and a failure is not kept.  A success is
-    also handed to poly, whose intersection_multiplicity then reads
-    intersections with f and its roots off their expansion.
+    that f is not an irreducible germ transverse to x = 0.  A success is
+    kept in poly._certified, so consecutive calls on one polynomial, found
+    by identity and then by equality, share one run, and
+    intersection_multiplicity reads intersections with f and its roots off
+    their expansion.  A failure leaves the record as it was.
 
     The run takes no resultant: it reads its own numbers that way, level
     by level.  f_0 has degree 1, a smooth branch.  Before f_k is used it
@@ -294,6 +294,9 @@ def _am_iteration(f: BiPoly):
     v_(q+1) > n_q v_q that gives one edge at every lower level too.  A root
     that fails its certificate shows that f is not a branch.
     """
+    chain, s, _, _ = poly._certified
+    if chain and (chain[-1] is f or chain[-1] == f):
+        return s, chain[:-1]
     _require_weierstrass(f, "semigroup computation")
     n = f.deg_y()
     f_rows, D = _y_rows(f, 1)
@@ -338,7 +341,7 @@ def _am_iteration(f: BiPoly):
         s = Semigroup(tuple(gens))
     except ValidationError as exc:
         raise ValidationError(f"not an irreducible branch: {exc}") from exc
-    _certify((*roots, f), s.generators, D, rows)
+    poly._certified = ((*roots, f), s, D, rows)
     return s, tuple(roots)
 
 

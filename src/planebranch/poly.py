@@ -17,8 +17,9 @@ An intersection number with a certified branch or one of its roots is
 read off an expansion in the roots, in place of a resultant, over integer
 rows in the coordinate Y = D*y (see _y_rows); branch._am_iteration
 certifies each root that way before it reads the next generator off f.
-The module keeps one slot: the last branch certified, with its roots,
-semigroup, D and rows, which intersection_multiplicity reads.  The
+The module keeps one record, _certified, of the last branch certified,
+with its roots, semigroup, D and rows; branch._am_iteration looks it up
+and writes it, and intersection_multiplicity reads it.  The
 resultant serves everything else: generic pairs, milnor_number and
 resultant_y itself.
 """
@@ -26,7 +27,7 @@ resultant_y itself.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import inf, lcm
 
 from ._value import _is_int, _rational
 from .errors import ValidationError, _digit_limit
@@ -474,8 +475,9 @@ def intersection_multiplicity(f: BiPoly, h: BiPoly):
     Returns a nonnegative integer, or math.inf when the curves share a
     component through the origin.  There are two exact routes.
 
-    When either argument is the last branch certified by semigroup_of or
-    characteristic_roots, or one of its characteristic approximate roots
+    When either argument is the last branch certified by _am_iteration
+    (semigroup_of, characteristic_roots, build_test_branch, the puiseux
+    verifier, the CLI), or one of its characteristic approximate roots
     f_0, ..., f_(k-1) (each a branch whose roots are the ones before it,
     with semigroup approximate_root_semigroup(s, k)), the other argument is
     reduced modulo that branch and the remainder expanded as a sum of
@@ -517,15 +519,9 @@ def _resultant_intersection(f: BiPoly, h: BiPoly):
 
 
 #: the last certified branch f as (the chain f_0, ..., f_(g-1), f, its
-#: generators, D, the chain's Y-rows); one slot, so memory stays bounded
-_certified = ((), (), 1, [])
-
-
-def _certify(chain, generators, D, rows):
-    """Keep a certified branch, chain[-1], for intersection_multiplicity,
-    with the chain's Y-rows under D (see _y_rows) that certified it."""
-    global _certified
-    _certified = (chain, generators, D, rows)
+#: Semigroup, D, the chain's Y-rows under D); one record, so memory stays
+#: bounded.  Only a successful branch._am_iteration writes it
+_certified = ((), None, 1, [])
 
 
 def _y_rows(p: BiPoly, D: int):
@@ -560,13 +556,13 @@ def _divmod_monic(A, B):
 
 
 def _certified_intersection(branch: BiPoly, h: BiPoly):
-    """I(branch, h) by the expansion route; None when branch is not in the slot."""
-    chain, gens, D, rows = _certified
+    """I(branch, h) by the expansion route; None when branch is not in the record."""
+    chain, s, D, rows = _certified
     for k, p in enumerate(chain):
-        if p == branch:
+        if p is branch or p == branch:
             # entry k is a branch with semigroup v_0 / l_k, ..., v_k / l_k
-            l_k = gcd(*gens[: k + 1])
-            weights = [v // l_k for v in gens[: k + 1]]
+            l_k = s.gcds[k]
+            weights = [v // l_k for v in s.generators[: k + 1]]
             return _expansion_intersection(rows[: k + 1], weights,
                                            _clear_denominators(h, D)[0])[0]
     return None

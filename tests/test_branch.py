@@ -19,9 +19,12 @@ from planebranch import (
     build_test_branch,
     char_to_semigroup,
     characteristic_roots,
+    intersection_multiplicity,
+    jacobian_det,
     milnor_from_semigroup,
     milnor_number,
     parse_poly,
+    poly,
     random_semigroup,
     random_test_branch,
     semigroup_of,
@@ -183,6 +186,42 @@ def test_semigroup_of_rejects_reducible():
                 semigroup_of(f)
 
 
+def test_a_unit_is_not_a_branch():
+    # 1 is monic of y-degree 0, so Weierstrass by the letter of the definition
+    for call in (semigroup_of, characteristic_roots):
+        with pytest.raises(ValidationError, match="y-degree at least 1"):
+            call(BiPoly.one())
+    assert approximate_root(BiPoly.one(), 1) == BiPoly.one()
+
+
+def test_a_rejected_input_keeps_the_record(monkeypatch, am_runs):
+    assert semigroup_of(F2) == Semigroup((4, 6, 13))
+    with pytest.raises(ValidationError, match="not one Newton edge"):
+        semigroup_of(parse_poly("(y^2-x^3)*(y^3-x^4)"))
+    resultants, resultant = [], poly.resultant_y
+    monkeypatch.setattr(poly, "resultant_y", lambda f, h: resultants.append(1) or resultant(f, h))
+    assert intersection_multiplicity(F2, y()) == 6
+    assert resultants == []
+    assert semigroup_of(F2) == Semigroup((4, 6, 13))
+    assert am_runs == [4, 2, 5]  # F2's run and the rejected one's, no third
+
+
+def test_a_memo_hit_never_hashes_the_branch(monkeypatch):
+    s = Semigroup((8, 12, 26, 53))
+    f = build_test_branch(s)
+
+    def unhashable(p):
+        raise AssertionError("a BiPoly was hashed")
+
+    monkeypatch.setattr(BiPoly, "__hash__", unhashable)
+    for g in (f, parse_poly(str(f))):  # by identity, then by equality
+        assert semigroup_of(g) == s
+        roots = characteristic_roots(g)
+        for k, fk in enumerate(roots):
+            height = approximate_root_semigroup(s, k).milnor() + s.generators[k + 1] - 1
+            assert intersection_multiplicity(fk, jacobian_det(fk, g)) == height
+
+
 def test_build_test_branch_frozen():
     assert build_test_branch(Semigroup((4, 6, 13))) == F2
     assert build_test_branch(Semigroup((1,))) == y()
@@ -223,8 +262,7 @@ def test_random_test_branch_contract(rng):
         assert f.is_weierstrass()
 
 
-def test_one_am_run_serves_the_semigroup_and_the_roots():
-    branch._am_iteration.cache_clear()
+def test_one_am_run_serves_the_semigroup_and_the_roots(am_runs):
     assert semigroup_of(F2) == Semigroup((4, 6, 13))
     roots = characteristic_roots(F2)
     assert roots == [y(), y(2) - x(3)]
@@ -232,7 +270,7 @@ def test_one_am_run_serves_the_semigroup_and_the_roots():
     roots.append(F2)
     roots[0] = x()
     assert characteristic_roots(F2) == [y(), y(2) - x(3)]
-    assert branch._am_iteration.cache_info().misses == 1
+    assert am_runs == [4, 2]
 
 
 def test_approximate_roots_are_transitive():
@@ -250,20 +288,20 @@ def test_approximate_roots_are_transitive():
             assert branch._am_iteration(fk) == (approximate_root_semigroup(s, k), tuple(roots[:k]))
 
 
-def test_build_test_branch_leaves_its_run_for_the_caller():
-    branch._am_iteration.cache_clear()
+def test_build_test_branch_leaves_its_run_for_the_caller(am_runs):
     f = build_test_branch(Semigroup((6, 8, 27)))
-    assert branch._am_iteration.cache_info().misses == 1
+    assert am_runs == [6, 2]
     assert semigroup_of(f) == Semigroup((6, 8, 27))
-    assert branch._am_iteration.cache_info().misses == 1
+    assert am_runs == [6, 2]
 
 
 # -- the expansion route against the resultant route ----------------------------
 
 
-def _outcome(am_run, f):
-    """(semigroup, roots) of a run, or the name of the error it raised."""
-    branch._am_iteration.cache_clear()
+def _outcome(monkeypatch, am_run, f):
+    """(semigroup, roots) of a run on an emptied record, or the name of the
+    error it raised."""
+    monkeypatch.setattr(poly, "_certified", ((), None, 1, []))
     try:
         return am_run(f)
     except PlanebranchError as exc:
@@ -275,7 +313,7 @@ def _scale_x(p, c):
     return BiPoly({(i, j): a * c**i for (i, j), a in p.terms()})
 
 
-def test_am_iteration_matches_the_resultant_oracle_on_branches():
+def test_am_iteration_matches_the_resultant_oracle_on_branches(monkeypatch):
     """150 seeded certified branches of genus 1-3 and multiplicity <= 16:
     every third carries an x^(mu+2)*y tail, and every third is f(2x/3, y) or
     f(5x/7, y), so that the roots have denominators.  The semigroup and the
@@ -291,7 +329,7 @@ def test_am_iteration_matches_the_resultant_oracle_on_branches():
             f = _scale_x(f, Fraction(2, 3) if i % 2 else Fraction(5, 7))
         expected = am_iteration_by_resultants(f)
         assert expected[0] == s == semigroup_by_criterion(f)
-        assert _outcome(branch._am_iteration, f) == expected, (i, s)
+        assert _outcome(monkeypatch, branch._am_iteration, f) == expected, (i, s)
 
 
 # the inputs that semigroup_of or a command rejects elsewhere in tier-1, and
@@ -301,7 +339,7 @@ TIER1_NON_BRANCHES = ("y^4-3*x^3*y^2+2*x^6", "y^3-x^3*y", "y^2-x", "y^2-x^2", "y
                       "(y^3-x^5)^2+x^9", "(y^2-x^3)*(y^3-x^4)")
 
 
-def test_am_iteration_rejects_what_the_resultant_oracle_rejects():
+def test_am_iteration_rejects_what_the_resultant_oracle_rejects(monkeypatch):
     """Products of two branches, near-squares f^2 + x^N, a branch times
     y - x^a and a branch plus one monomial below its conductor: 300 seeded
     inputs of multiplicity <= 12, then the non-branches of tier-1.
@@ -338,8 +376,8 @@ def test_am_iteration_rejects_what_the_resultant_oracle_rejects():
             cases.append((h, kind in (0, 2)))
     counts = {"accepted": 0, "rejected": 0, "rejected, accepted by resultants": 0}
     for h, product in cases:
-        expected = _outcome(am_iteration_by_resultants, h)
-        outcome = _outcome(branch._am_iteration, h)
+        expected = _outcome(monkeypatch, am_iteration_by_resultants, h)
+        outcome = _outcome(monkeypatch, branch._am_iteration, h)
         assert not product or outcome == "ValidationError", h
         criterion = semigroup_by_criterion(h)
         assert criterion == (None if outcome == "ValidationError" else outcome[0]), h

@@ -7,7 +7,6 @@ import pytest
 from planebranch import (
     ElementarySegment,
     NewtonDiagram,
-    branch,
     characteristic_roots,
     cli,
     parse_poly,
@@ -84,13 +83,12 @@ def test_jnd_verify(capsys):
     assert "[ok]" in out and "FAIL" not in out
 
 
-def test_jnd_verify_runs_the_am_iteration_once(capsys):
+def test_jnd_verify_runs_the_am_iteration_once(capsys, am_runs):
     # the semigroup and the verifier both ask for the run; the memo serves
     # the second request
-    branch._am_iteration.cache_clear()
     code, out, _ = run(capsys, "jnd", "--f", F2, "--verify")
     assert code == 0 and "[ok]" in out and "FAIL" not in out
-    assert branch._am_iteration.cache_info().misses == 1
+    assert am_runs == [4, 2]
 
 
 def test_jnd_verify_json_checks_match_the_text_lines(capsys):
@@ -308,6 +306,10 @@ def test_exit_codes(capsys):
     for node in ("y^2-x^2", "y*(y-x)", "y^2-x^2-x^3"):
         code, _, err = run(capsys, "semigroup", "--f", node)
         assert code == 1 and "not an irreducible branch" in err and "swap" not in err
+    for command in ("semigroup", "roots"):
+        code, out, err = run(capsys, command, "--f", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: semigroup computation needs a polynomial of y-degree at least 1\n"
     code, _, err = run(capsys, "jnd", "--semigroup", "4,6,13", "--k", "7")
     assert code == 1 and "out of range" in err
     code, _, err = run(capsys, "jnd", "--semigroup", "4,5,13")

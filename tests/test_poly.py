@@ -29,7 +29,6 @@ from planebranch import (
     resultant_y,
     semigroup_of,
 )
-from planebranch.branch import _am_iteration
 from planebranch.poly import _resultant_intersection
 
 x = BiPoly.x
@@ -365,7 +364,8 @@ def test_expansion_route_matches_resultant_route(monkeypatch):
             assert intersection_multiplicity(branch, unit) == 0
             assert intersection_multiplicity(branch, branch) == math.inf
         if i >= 48:
-            assert poly._certified[2] % 3 == 0 if i % 2 else poly._certified[2] % 7 == 0
+            D = poly._certified[2]
+            assert D % 3 == 0 if i % 2 else D % 7 == 0
     assert pairs > 1300
 
 
@@ -382,7 +382,7 @@ def test_jacobian_intersections_of_a_certified_branch_take_no_resultant(monkeypa
     assert calls == []
 
 
-def test_semigroup_of_takes_no_resultant(monkeypatch):
+def test_semigroup_of_takes_no_resultant(monkeypatch, am_runs):
     # each level is read off an expansion in the approximate roots below it,
     # in build_test_branch's run and in a fresh one
     calls = _counted_resultants(monkeypatch)
@@ -390,17 +390,18 @@ def test_semigroup_of_takes_no_resultant(monkeypatch):
         f = build_test_branch(s)
         if tail:
             f = f + BiPoly.monomial(1, s.milnor() + 2, 1)
-        _am_iteration.cache_clear()
+        monkeypatch.setattr(poly, "_certified", ((), None, 1, []))
         assert semigroup_of(f) == s
         assert len(characteristic_roots(f)) == s.genus == 3
     assert calls == []
+    assert am_runs == [8, 4, 2] * 4  # build and rerun, per branch
 
 
 def test_certifying_a_second_branch_replaces_the_slot(monkeypatch):
     first = build_test_branch(Semigroup((4, 6, 13)))
     second = build_test_branch(Semigroup((6, 8, 27)))
-    chain = poly._certified[0]
-    assert chain == (*characteristic_roots(second), second)
+    chain, s, _, _ = poly._certified
+    assert chain == (*characteristic_roots(second), second) and s == Semigroup((6, 8, 27))
     assert first not in chain and y(2) - x(3) not in chain
     calls = _counted_resultants(monkeypatch)
     assert intersection_multiplicity(first, y(2) - x(3)) == 13
