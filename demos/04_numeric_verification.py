@@ -46,6 +46,6 @@ print("\noracle k=0: ", jnd_oracle(f, 0))
 print("formula k=0:", jnd_formula(s, 0))
 
 # and the full battery: formula vs oracle, class counts, contact
-# profiles, and resultant-based totals
+# profiles, and the exact totals read off the certified branch
 for name, ok, detail in verify_decomposition(f):
     print(f"{'ok ' if ok else 'FAIL'} {name}" + (f": {detail}" if detail else ""))

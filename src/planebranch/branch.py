@@ -16,7 +16,8 @@ from math import gcd, inf, prod
 from . import poly
 from ._value import Value, _is_int
 from .errors import ValidationError, _digit_limit
-from .poly import BiPoly, _expansion_intersection, _numerators, _one_edge, _raw, _y_rows, _z_mul
+from .poly import (BiPoly, _clear_denominators, _expansion_intersection, _one_edge, _raw,
+                   _y_rows, _z_mul)
 
 __all__ = [
     "CharSequence",
@@ -242,10 +243,8 @@ def approximate_root(f: BiPoly, p: int) -> BiPoly:
     if d % p:
         raise ValidationError(f"root exponent {p} must divide the y-degree {d}")
     m = d // p
-    nums, delta = _numerators(f._terms)
-    U = {}
-    for (i, j), c in nums.items():
-        U.setdefault(d - j, {})[i] = c
+    rows, delta = _clear_denominators(f)
+    U = rows[::-1]
     pd = p * delta
     N = [{0: 1}]
     for n in range(1, m + 1):
@@ -253,7 +252,7 @@ def approximate_root(f: BiPoly, p: int) -> BiPoly:
         scale = 1  # (p delta)^(k-1) (n-1)!/(n-k)!
         for k in range(1, n + 1):
             weight = (k * (p + 1) - n * p) * scale
-            if weight and k in U and N[n - k]:
+            if weight and U[k] and N[n - k]:
                 for i, c in _z_mul(U[k], N[n - k]).items():
                     row[i] = row.get(i, 0) + weight * c
             scale *= pd * (n - k)

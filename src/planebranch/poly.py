@@ -19,9 +19,12 @@ rows in the coordinate Y = D*y (see _y_rows); branch._am_iteration
 certifies each root that way before it reads the next generator off f.
 The module keeps one record, _certified, of the last branch certified,
 with its roots, semigroup, D and rows; branch._am_iteration looks it up
-and writes it, and intersection_multiplicity reads it.  The
-resultant serves everything else: generic pairs, milnor_number and
-resultant_y itself.
+and writes it, and intersection_multiplicity reads it, for the
+verifier's exact totals among others.  The resultant serves everything
+else: generic pairs, milnor_number, resultant_y itself, and a curve fk
+supplied to the verifier that is no characteristic root of the branch.
+Both routes build their integer rows with _clear_denominators and divide
+them with _divmod_monic.
 """
 
 from __future__ import annotations
@@ -311,7 +314,7 @@ def jacobian_det(g: BiPoly, f: BiPoly) -> BiPoly:
 # Univariate integer polynomials in x for the resultant, stored sparse as
 # {x-exponent: int} with no zero entries.  A y-polynomial over Z[x] is a list
 # of them indexed by y-power, with a nonzero last entry; so is the expansion
-# below, in Y = D*y.  _z_mul also serves Fraction rows in approximate_root.
+# below, in Y = D*y.  _z_mul also serves approximate_root's integer rows.
 # ---------------------------------------------------------------------------
 
 
@@ -384,27 +387,34 @@ def _trim(A):
     return A
 
 
-def _yp_prem(A, B):
-    """Pseudo-remainder of A by B: lc(B)^(deg A - deg B + 1) A mod B."""
-    dB = len(B) - 1
-    lb = B[dB]
-    unit = lb == {0: 1}
+def _divmod_monic(A, B):
+    """Quotient and remainder in y of the rows A by the rows B.
+
+    For a B whose leading row is not 1, each step first multiplies the
+    remainder by that row, which gives the pseudo-remainder
+    lc(B)^(deg A - deg B + 1) A mod B that resultant_y needs, and the
+    quotient is None.  An A of lower degree is its own remainder, with an
+    empty quotient; the expansions meet that case in about four calls of
+    ten, so it returns before B is looked at."""
+    d = len(B) - 1
     R = list(A)
-    e = len(R) - dB
-    while len(R) > dB:
-        # the top term cancels by construction, so it is dropped, not computed
-        lr = R.pop()
-        shift = len(R) - dB
-        if not unit:
-            R = [_z_mul(lb, c) for c in R]
-        for t in range(dB):
-            R[t + shift] = _z_submul(R[t + shift], lr, B[t])
-        _trim(R)
-        e -= 1
-    if e > 0 and not unit:
-        scale = _z_pow(lb, e)
-        R = [_z_mul(scale, c) for c in R]
-    return R
+    if len(R) <= d:
+        return [], _trim(R)
+    lead = B[d]
+    monic = lead == {0: 1}
+    lower = [(t, row) for t, row in enumerate(B[:d]) if row]
+    Q = []
+    while len(R) > d:
+        top = R.pop()
+        if monic:
+            Q.append(top)
+        else:
+            R = [_z_mul(lead, c) for c in R]
+        s = len(R) - d
+        for t, row in lower:
+            R[s + t] = _z_submul(R[s + t], top, row)
+    Q.reverse()
+    return (Q if monic else None), _trim(R)
 
 
 def _clear_denominators(f: BiPoly, D: int = 1):
@@ -412,9 +422,10 @@ def _clear_denominators(f: BiPoly, D: int = 1):
     of Y^j in den * D^d * f(x, Y/D), d = deg_y f; den * f when D = 1."""
     nums, den = _numerators(f._terms)
     d = f.deg_y()
+    powers = [D ** (d - j) for j in range(d + 1)] if D > 1 else None
     rows = [{} for _ in range(d + 1)]
     for (i, j), c in nums.items():
-        rows[j][i] = c * D ** (d - j) if D > 1 else c
+        rows[j][i] = c * powers[j] if powers else c
     return rows, den
 
 
@@ -444,7 +455,7 @@ def resultant_y(f: BiPoly, h: BiPoly) -> BiPoly:
         delta = dA - dB
         if dA % 2 == 1 and dB % 2 == 1:
             sign = -sign
-        R = _yp_prem(A, B)
+        R = _divmod_monic(A, B)[1]
         if not R:
             return BiPoly.zero()
         divisor = _z_mul(g, _z_pow(hpow, delta))
@@ -525,34 +536,17 @@ _certified = ((), None, 1, [])
 
 
 def _y_rows(p: BiPoly, D: int):
-    """(rows, D') with D' the lcm of D and p's denominators: row j of
+    """(rows, D') with D' the lcm of D and p's denominators: the rows of
+    _clear_denominators under D' without its den, so row j of
     D'^d p(x, Y/D'), d = deg_y p, is c D'^(d-j), integral and monic in
     Y = D'*y for a monic p.  The change of coordinates is linear, and it
     scales each monomial x^a f_0^e_0 ... of an expansion by a nonzero
     constant, so intersection numbers and _least_value read the same."""
-    nums, den = _numerators(p._terms)
-    D, d = lcm(D, den), p.deg_y()
-    powers = [D ** (d - j) for j in range(d + 1)]
-    rows = [{} for _ in range(d + 1)]
-    for (i, j), c in nums.items():
-        rows[j][i] = c * powers[j] // den
+    D = lcm(D, *[c.denominator for c in p._terms.values()])
+    rows, den = _clear_denominators(p, D)
+    if den > 1:
+        rows = [{i: c // den for i, c in row.items()} for row in rows]
     return rows, D
-
-
-def _divmod_monic(A, B):
-    """Quotient and remainder in y of the rows A by the monic rows B."""
-    d = len(B) - 1
-    lower = [(t, row) for t, row in enumerate(B[:d]) if row]
-    Q = []
-    R = list(A)
-    while len(R) > d:
-        top = R.pop()
-        Q.append(top)
-        s = len(R) - d
-        for t, row in lower:
-            R[s + t] = _z_submul(R[s + t], top, row)
-    Q.reverse()
-    return Q, _trim(R)
 
 
 def _certified_intersection(branch: BiPoly, h: BiPoly):
@@ -614,8 +608,6 @@ def milnor_number(f: BiPoly) -> int:
         raise ValidationError("milnor_number needs f(0,0) = 0")
     fx = f.diff_x()
     fy = f.diff_y()
-    if fx.is_zero() and fy.is_zero():
-        raise ValidationError("milnor_number of a constant")
     if fx.is_zero() or fy.is_zero():
         p = fy if fx.is_zero() else fx
         if p.coefficient(0, 0):

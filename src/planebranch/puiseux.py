@@ -33,7 +33,7 @@ from .errors import (
     VerificationError,
 )
 from .jacobian import _check_index, jnd_formula
-from .poly import BiPoly, _resultant_intersection, jacobian_det
+from .poly import BiPoly, intersection_multiplicity, jacobian_det
 
 __all__ = [
     "NumericContext",
@@ -844,16 +844,18 @@ def verify_cycle(f: BiPoly, depth=None):
     return report
 
 
-def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = None,
-                         exact_totals: bool = True):
+def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = None):
     """Cross-check the closed diagram formula against Puiseux reality.
 
     Runs, for each index (or the one given): the contact-class oracle, the
     conjugate-contact profile of f, the jacobian contact counts, the class
-    sizes, both diagram totals, and optionally the exact resultant totals.
-    A supplied fk without k is checked at the one index whose degree
-    b_0/l_k it has.  Returns the full report; raises VerificationError on
-    any failure.
+    sizes, both diagram totals, and the exact totals I(J_k, f) and
+    I(J_k, f_k).  The exact totals come from intersection_multiplicity,
+    which reads them off the expansion in the characteristic roots of the
+    branch just certified; only a supplied fk that is none of those roots
+    takes the resultant.  A supplied fk without k is checked at the one
+    index whose degree b_0/l_k it has.  Returns the full report; raises
+    VerificationError on any failure.
     """
     dec = _Decomposition(f, None if k is None else [k], fk, profile=True)
     s = dec.s
@@ -937,13 +939,12 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
             f"{length_total} vs {s.milnor() + v_next - 1}",
         )
 
-        if exact_totals:
-            exact_len = _resultant_intersection(dec.jacobians[kk], f)
-            exact_ht = _resultant_intersection(dec.jacobians[kk], dec.roots[kk])
-            check(f"{tag}: resultant length total", exact_len == length_total,
-                  f"{exact_len} vs {length_total}")
-            check(f"{tag}: resultant height total", exact_ht == height_total,
-                  f"{exact_ht} vs {height_total}")
+        exact_len = intersection_multiplicity(dec.jacobians[kk], f)
+        exact_ht = intersection_multiplicity(dec.jacobians[kk], dec.roots[kk])
+        check(f"{tag}: exact length total", exact_len == length_total,
+              f"{exact_len} vs {length_total}")
+        check(f"{tag}: exact height total", exact_ht == height_total,
+              f"{exact_ht} vs {height_total}")
 
     failures = [(name, detail) for name, ok, detail in report if not ok]
     if failures:

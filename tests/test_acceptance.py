@@ -182,7 +182,7 @@ def test_formula_oracle_bulk():
     for trial in range(25):
         f, s = random_test_branch(rng, max_degree=12)
         try:
-            report = verify_decomposition(f, exact_totals=False)
+            report = verify_decomposition(f)
         except Exception as exc:  # any failure is a criterion failure
             problems.append(f"{s}: {exc}")
             continue

@@ -274,6 +274,11 @@ def test_resultant_multiplicative(rng):
         assert resultant_y(f, g * h) == resultant_y(f, g) * resultant_y(f, h)
 
 
+def test_resultant_needs_a_y_degree():
+    with pytest.raises(ValidationError, match="y-degree >= 1"):
+        resultant_y(x(2) + 1, x())
+
+
 def test_resultant_of_common_factor_is_zero():
     f = (y() - x()) * (y() + x(2))
     h = (y() - x()) * (y(2) + x(3))
@@ -296,6 +301,8 @@ def test_intersection_frozen_cases():
 
 
 def test_intersection_degenerate_inputs():
+    with pytest.raises(ValidationError, match="nonzero polynomials"):
+        intersection_multiplicity(BiPoly.zero(), y())
     assert intersection_multiplicity(BiPoly.one(), y()) == 0
     assert intersection_multiplicity(y(), BiPoly.constant(3)) == 0
     assert intersection_multiplicity(y(2), y()) == math.inf
@@ -422,3 +429,13 @@ def test_milnor_frozen_cases():
 def test_milnor_rejects_nonisolated():
     with pytest.raises(ValidationError):
         milnor_number(y(2))
+    # both partials are nonzero and share the component y = 0
+    with pytest.raises(ValidationError, match="infinite Milnor number"):
+        milnor_number(x() * y(2))
+
+
+def test_milnor_rejects_the_zero_polynomial_and_a_unit():
+    with pytest.raises(ValidationError, match="zero polynomial"):
+        milnor_number(BiPoly.zero())
+    with pytest.raises(ValidationError, match=r"f\(0,0\) = 0"):
+        milnor_number(1 + y(2) - x(3))

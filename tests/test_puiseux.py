@@ -6,6 +6,7 @@ from math import inf
 import pytest
 
 from planebranch import (
+    BiPoly,
     ContactUndecidableError,
     ElementarySegment,
     NewtonDiagram,
@@ -28,6 +29,7 @@ from planebranch import (
     verify_decomposition,
 )
 from planebranch.fixtures import BRANCH_4_6_13, BRANCH_6_8_27, BRANCH_6_8_27_VARIANT
+import planebranch.poly as poly
 import planebranch.puiseux as puiseux
 from planebranch.puiseux import _Decomposition
 
@@ -339,7 +341,6 @@ def test_verify_decomposition_full():
     report = verify_decomposition(BRANCH_4_6_13)
     assert len(report) == 18
     assert all(ok for _, ok, _ in report)
-    assert len(verify_decomposition(BRANCH_4_6_13, exact_totals=False)) == 14
     assert len(verify_decomposition(BRANCH_4_6_13, k=1)) == 9
 
 
@@ -348,9 +349,27 @@ def test_verify_decomposition_with_an_eightfold_top_edge():
     # after lattice reduction; through the general root finder alone the
     # verifier ended in NumericError, undecided at every tier
     f = build_test_branch(Semigroup((16, 40, 84, 174, 355)))
-    report = verify_decomposition(f, exact_totals=False)
-    assert len(report) == 28
+    report = verify_decomposition(f)
+    assert len(report) == 36
     assert all(ok for _, ok, _ in report)
+
+
+def test_verify_decomposition_reads_exact_totals_off_the_certified_branch(monkeypatch):
+    # I(J_k, f) and I(J_k, f_k) come from the expansion in the roots of the
+    # branch just certified, also with an x^(mu+2)*y tail; only a supplied
+    # curve that is none of those roots goes through the resultant
+    calls, resultant = [], poly.resultant_y
+    monkeypatch.setattr(poly, "resultant_y", lambda f, h: calls.append(1) or resultant(f, h))
+    s = Semigroup((16, 24, 52, 105))
+    tailed = build_test_branch(s) + BiPoly.monomial(1, s.milnor() + 2, 1)
+    for f in (BRANCH_4_6_13, tailed):
+        report = verify_decomposition(f)
+        assert all(ok for _, ok, _ in report)
+        assert calls == [], f
+    report = verify_decomposition(BRANCH_4_6_13, k=1, fk=parse_poly("y^2-x^3-x^4"))
+    assert ("k=1: exact height total", True, "14 vs 14") in report
+    assert all(ok for _, ok, _ in report)
+    assert calls
 
 
 @pytest.mark.parametrize("root, k", [("y", 0), ("y^2-x^3", 1), ("y^2-x^3-x^4", 1)])
@@ -415,8 +434,8 @@ _REPORT_NAMES = [
     "x factor and zero roots stay residual",
     "height total is mu_k + v_(k+1) - 1",
     "length total is mu + v_(k+1) - 1",
-    "resultant length total",
-    "resultant height total",
+    "exact length total",
+    "exact height total",
 ]
 _GOLDEN = [
     (
