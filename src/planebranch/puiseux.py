@@ -5,10 +5,12 @@ actual Puiseux roots: series are expanded at machine precision first, and
 every decision that could be corrupted by rounding (coefficient equality,
 root multiplicity, class membership) either passes a consistency test or
 triggers a retry of the whole computation at a higher precision tier.
-Exactness re-enters through the exponents, which are always exact
-(integers over a common denominator inside the expander, Fractions in the
-series), so contact orders and intersection numbers read off the series are
-exact the moment the coefficient decisions are trusted.
+Exactness re-enters through the exponents, which are always exact:
+integers over one denominator inside the expander, in each series beside
+its Fraction terms, and through contact orders, class sums and thresholds,
+which become Fractions only where they leave the module.  Contact orders and
+intersection numbers read off the series are therefore exact the moment the
+coefficient decisions are trusted.
 """
 
 from __future__ import annotations
@@ -135,15 +137,31 @@ class PuiseuxSeries(Value):
     Terms are (exponent, coefficient) pairs with exact Fraction exponents;
     every nonzero term below the truncation is present.  The exact zero series
     has no terms and infinite truncation.  Two series are equal when their
-    terms and truncation are; the context that computed them does not count.
+    terms and truncation are; the context that computed them does not count,
+    nor does the integer form of the exponents, _nums over _den, that the
+    contact walk reads.
     """
 
-    __slots__ = ("terms", "truncation", "context", "_by_exp")
+    __slots__ = ("terms", "truncation", "context", "_by_exp", "_den", "_nums")
 
     def __init__(self, terms, truncation, context=None):
         terms = tuple(sorted(terms, key=lambda t: t[0]))
+        exps = [Fraction(e) for e, _ in terms]
+        den = lcm(1, *(e.denominator for e in exps))
         self._set(terms=terms, truncation=truncation, context=context,
-                  _by_exp={e: c for e, c in terms})
+                  _by_exp={e: c for e, c in terms}, _den=den,
+                  _nums=tuple([e.numerator * (den // e.denominator) for e in exps]))
+
+    @classmethod
+    def _of_tail(cls, den, tail, truncation, context):
+        """The series c*x^(N/den) for the (N, c) pairs of tail, N ascending."""
+        # tuples of lists, not of generators: a tuple grown from a generator
+        # is resized into place, and the tuple free lists then keep growing
+        terms = tuple([(Fraction(n, den), c) for n, c in tail])
+        self = cls.__new__(cls)
+        self._set(terms=terms, truncation=truncation, context=context,
+                  _by_exp=dict(terms), _den=den, _nums=tuple([n for n, _ in tail]))
+        return self
 
     def _key(self):
         return self.terms, self.truncation
@@ -164,7 +182,7 @@ class PuiseuxSeries(Value):
         return inf if self.truncation == inf else None
 
     def ramification(self) -> int:
-        return lcm(1, *(e.denominator for e, _ in self.terms))
+        return self._den
 
     def __str__(self):
         def fmt_coeff(c):
@@ -326,65 +344,76 @@ def _poly_data(ctx, f: BiPoly):
     return {(i, j): ctx.number(c) for (i, j), c in f.terms()}
 
 
-def _expand(ctx, F, den, depth, truncated=False):
+def _expand(ctx, F, den, base, dn, dd, cut=False):
     """All Puiseux tails of F(x, y) = 0 with y -> 0, complete below depth.
 
     F maps (E, j) to the coefficient of x^(E/den) y^j, with E and den
-    integers.  Each tail is a (terms, truncation) pair, as PuiseuxSeries
-    takes them.
+    integers.  The root is expanded so far up to the exponent base/den, and
+    depth is dn/dd, so rest = dn/dd - base/den is the depth still to go.
+    Each tail is a (tden, terms, cut) triple: terms are the (N, c) pairs
+    of the terms c*x^(N/tden) of the whole root, tden the finest
+    denominator on its path, listed from the highest N down, so that each
+    level adds its own term by appending.  cut means the tail is known only
+    below depth; otherwise it is exact.  Leaf truncations telescope to the
+    top depth, so depth and inf are the only truncations a series can have.
 
     Terms that cannot matter are dropped.  Let m be the j of the hull's
-    bottom-right vertex (the one at e = 0), the number of roots expected.
-    Once the hull is built, every term with e >= depth*m, that is with
-    E >= depth*m*den, goes.  Such a term lies strictly above every
-    supporting line of slope s < depth, because
-    e + s*j >= depth*m > s*m >= h_s, so it is on no edge the expansion
+    bottom-right vertex (the one at E = 0), the number of roots expected.
+    Once the hull is built, every term with E >= limit goes, where
+    limit = ceil(rest*m*den) = ceil((dn*den - base*dd)*m/dd).  Such a term
+    lies strictly above every supporting line of slope s < rest, because
+    E/den + s*j >= rest*m > s*m >= h_s, so it is on no edge the expansion
     uses and in no edge polynomial.  Substituting y = x^q (c + y) for
-    q < depth and dividing by x^(h_q), where h_q <= q*m, sends it to
-    exponents e' >= (depth - q)*m + q*j >= (depth - q)*mu, with mu <= m
+    q < rest and dividing by x^(h_q), where h_q <= q*m, sends it to
+    exponents E'/den' >= (rest - q)*m + q*j >= (rest - q)*mu, with mu <= m
     the multiplicity of c, which is the next level's root count.  So its
     images are terms the next level drops too, and by induction no dropped
     term ever reaches an edge or an edge polynomial.  The hull is built
-    before the drop, so the count of steep tails (q >= depth) is the same
+    before the drop, so the count of steep tails (q >= rest) is the same
     as without it.  A dropped term may have been all that kept y from
-    dividing a later F; once anything was dropped (truncated), a zero root
-    is therefore known only below depth, not exactly.
+    dividing a later F; once anything was dropped (cut), a zero root is
+    therefore known only below depth, not exactly.
     """
     out = []
     j_min = min(j for _, j in F)
     if j_min > 0:
-        out.extend(([], depth if truncated else inf) for _ in range(j_min))
+        out.extend((den, [], cut) for _ in range(j_min))
         F = {(e, j - j_min): c for (e, j), c in F.items()}
     degree = max(j for _, j in F)
     if degree == 0:
         return out
     hull = lower_hull((j, e) for e, j in F)
     expected = hull[-1][0]
-    limit = ceil(depth * expected * den)
+    limit = -(-(dn * den - base * dd) * expected // dd)
     kept = {key: c for key, c in F.items() if key[0] < limit}
-    truncated = truncated or len(kept) < len(F)
+    cut = cut or len(kept) < len(F)
     F = kept
     for (j1, e1), (j2, e2) in zip(hull, hull[1:]):
         width = j2 - j1
-        q = Fraction(e1 - e2, width * den)
-        if q >= depth:
-            out.extend(([], depth) for _ in range(width))
+        # the slope q = (e1 - e2)/(width*den) is slope/sub_den, and the
+        # root reaches at/sub_den, in the finest denominator so far
+        step = width * den
+        sub_den = lcm(den, step // gcd(e1 - e2, step))
+        scale = sub_den // den
+        slope = (e1 - e2) * scale // width
+        at = base * scale + slope
+        if at * dd >= dn * sub_den:
+            out.extend((den, [], True) for _ in range(width))
             continue
         phi = [0] * (width + 1)
         for (e, j), c in F.items():
             if j1 <= j <= j2 and (e - e1) * width == (e2 - e1) * (j - j1):
                 phi[j - j1] = c
-        sub_den = lcm(den, q.denominator)
-        scale, slope = sub_den // den, q.numerator * (sub_den // q.denominator)
         for root, mu in _edge_roots(ctx, phi):
             sub = _substitute(ctx, F, scale, slope, root)
-            tails = _expand(ctx, sub, sub_den, depth - q, truncated)
+            tails = _expand(ctx, sub, sub_den, at, dn, dd, cut)
             if len(tails) != mu:
                 raise _EscalationNeeded(
                     f"root of multiplicity {mu} produced {len(tails)} continuations"
                 )
-            for terms, trunc in tails:
-                out.append(([(q, root)] + [(q + e, c) for e, c in terms], q + trunc))
+            for tden, terms, tail_cut in tails:
+                terms.append((at * (tden // sub_den), root))
+                out.append((tden, terms, tail_cut))
     if len(out) != j_min + expected:
         raise _EscalationNeeded(
             f"expected {j_min + expected} local roots, assembled {len(out)}"
@@ -398,20 +427,21 @@ def _substitute(ctx, F, scale, slope, c):
     Exponents move to the finer denominator den' = scale*den, in which
     q = slope/den': x^(E/den) y^j becomes x^((scale*E + slope*j)/den') (c + y)^j.
     """
+    # powers[i] = c^i, multiplied up from 1 once and shared by every term
+    powers = [1]
+    for _ in range(max(j for _, j in F)):
+        powers.append(powers[-1] * c)
     sums = {}
     peaks = {}
     for (e, j), a in F.items():
         base = scale * e + slope * j
-        cm = 1
         for t in range(j, -1, -1):
-            # cm = c^(j-t), built up while t descends
-            term = a * comb(j, t) * cm
+            term = a * comb(j, t) * powers[j - t]
             key = (base, t)
             sums[key] = sums.get(key, 0) + term
             mag = abs(term)
             if mag > peaks.get(key, 0.0):
                 peaks[key] = mag
-            cm = cm * c
     new = {}
     top = 0.0
     for key, val in sums.items():
@@ -438,8 +468,9 @@ def _expand_bipoly(ctx, f: BiPoly, depth):
     if f.is_zero():
         raise ValidationError("cannot expand the zero polynomial")
     _, f1 = f.x_content()
-    tails = _expand(ctx, _poly_data(ctx, f1), 1, depth)
-    series = [PuiseuxSeries(terms, trunc, ctx) for terms, trunc in tails]
+    tails = _expand(ctx, _poly_data(ctx, f1), 1, 0, depth.numerator, depth.denominator)
+    series = [PuiseuxSeries._of_tail(den, terms[::-1], depth if cut else inf, ctx)
+              for den, terms, cut in tails]
     series.sort(key=_sort_key)
     return series
 
@@ -472,22 +503,31 @@ def puiseux_expand(f: BiPoly, depth, min_bits: int = 53):
 # ---------------------------------------------------------------------------
 
 
-def _pair_contact(ctx, a: PuiseuxSeries, b: PuiseuxSeries):
-    """First exponent where two series differ.
+def _limit(series: PuiseuxSeries, den: int):
+    """The truncation of series as an integer over den, rounded up: the
+    first such exponent the series does not know; inf for an exact series."""
+    t = series.truncation
+    return inf if t == inf else -(-t.numerator * den // t.denominator)
 
-    Returns (value, decided): decided means the series genuinely split at
-    that exponent; otherwise they agree on everything known and the value
-    is only a lower bound (inf if both series are exact).
+
+def _pair_contact(ctx, a: PuiseuxSeries, b: PuiseuxSeries, den: int, limit):
+    """First exponent where two series differ, as an integer over den, a
+    common multiple of a._den and b._den.
+
+    limit is the smaller _limit of the two.  Returns the integer when the
+    series genuinely split there, inf when both series are exact and agree
+    everywhere, and None when they agree on everything they both know.
     """
-    bound = min(a.truncation, b.truncation)
+    na, nb = a._nums, b._nums
+    ka, kb = den // a._den, den // b._den
     ta, tb = a.terms, b.terms
     i = j = 0
     # one merged walk up both sorted term tuples; a missing term is 0
     while True:
-        ea = ta[i][0] if i < len(ta) else inf
-        eb = tb[j][0] if j < len(tb) else inf
+        ea = na[i] * ka if i < len(na) else inf
+        eb = nb[j] * kb if j < len(nb) else inf
         e = min(ea, eb)
-        if e >= bound:
+        if e >= limit:
             break
         ca = cb = 0
         if ea == e:
@@ -503,13 +543,17 @@ def _pair_contact(ctx, a: PuiseuxSeries, b: PuiseuxSeries):
         if ratio <= ctx.eq_tol / 1e3:
             continue
         if ratio >= ctx.eq_tol * 1e3:
-            return e, True
+            return e
         raise _EscalationNeeded(
-            f"coefficient comparison at x^{e} falls in the ambiguity band ({ratio:.3e})"
+            f"coefficient comparison at x^{Fraction(e, den)} falls in the ambiguity band "
+            f"({ratio:.3e})"
         )
-    if bound == inf:
-        return inf, True
-    return bound, False
+    return None if limit != inf else inf
+
+
+def _ratio(n, den):
+    """n/den as a Fraction, inf staying inf."""
+    return inf if n == inf else Fraction(n, den)
 
 
 def _root_contacts_deepening(f: BiPoly, h: BiPoly, depth, settled):
@@ -529,10 +573,17 @@ def _root_contacts_deepening(f: BiPoly, h: BiPoly, depth, settled):
         sh = _expand_bipoly(ctx, h, d)
         if not sf or not sh:
             raise ValidationError("contact needs curves through the origin")
+        den = lcm(*(ps._den for ps in sf + sh))
+        limits = [_limit(a, den) for a in sf]
         values = []
         for b in sh:
-            pairs = [_pair_contact(ctx, a, b) for a in sf]
-            values.append((max(v for v, _ in pairs), all(decided for _, decided in pairs)))
+            lb = _limit(b, den)
+            row = [_pair_contact(ctx, a, b, den, min(la, lb)) for a, la in zip(sf, limits)]
+            best = max((v for v in row if v is not None), default=0)
+            decided = None not in row
+            # an undecided pair stops at the truncation d, above every
+            # finite contact
+            values.append((_ratio(best, den) if decided or best == inf else d, decided))
         return values
 
     depths = [_positive_depth(depth)] if depth is not None else (4, 8, 16, 32, 64)
@@ -628,25 +679,33 @@ class ContactClass(Value):
         )
 
 
-def _decided_contacts(ctx, rows, cols, what):
-    """Contact of each series in rows with each in cols, row by row; escalates
-    on the first pair whose contact is only a lower bound."""
+def _decided_contacts(ctx, rows, cols, den, what):
+    """Contact of each series in rows with each other series in cols, row by
+    row, as integers over den; escalates on the first pair whose contact is
+    only a lower bound."""
+    limits = [_limit(b, den) for b in cols]
     matrix = []
     for a in rows:
+        la = _limit(a, den)
         matrix.append([])
-        for b in cols:
-            v, decided = _pair_contact(ctx, a, b)
-            if not decided:
-                raise _EscalationNeeded(f"{what}: contact undecided at bound {v}")
+        for b, lb in zip(cols, limits):
+            if b is a:
+                continue
+            v = _pair_contact(ctx, a, b, den, min(la, lb))
+            if v is None:
+                raise _EscalationNeeded(
+                    f"{what}: contact undecided at bound {min(a.truncation, b.truncation)}"
+                )
             matrix[-1].append(v)
     return matrix
 
 
-def _int_or_escalate(value: Fraction, what: str) -> int:
-    value = Fraction(value)
-    if value.denominator != 1:
-        raise _EscalationNeeded(f"{what} summed to the non-integer {value}")
-    return int(value)
+def _int_or_escalate(total: int, den: int, what: str) -> int:
+    """total/den, which must be an integer."""
+    quotient, rest = divmod(total, den)
+    if rest:
+        raise _EscalationNeeded(f"{what} summed to the non-integer {Fraction(total, den)}")
+    return quotient
 
 
 class _Decomposition:
@@ -671,7 +730,9 @@ class _Decomposition:
     contact classes and jac_counts[k], for each root of f, the number of
     jacobian roots with contact at least b_(k+1)/b_0 with it.
     self_contacts holds, for each root of f, its contacts with the other
-    conjugates; it is None without profile.
+    conjugates as integers over self_den; both are None without profile.
+    Every contact is compared as an integer over a common multiple of b_0
+    and the denominators of the series involved.
     """
 
     def __init__(self, f: BiPoly, indices=None, fk: BiPoly | None = None, profile=False):
@@ -710,7 +771,8 @@ class _Decomposition:
         self.exponents = semigroup_to_char(s).exponents
         self.depth = Fraction(self.exponents[-1], self.exponents[0]) + 1
         self.profile = profile
-        self.classes, self.jac_counts, self.self_contacts = _with_escalation(self._measure)
+        self.classes, self.jac_counts, self.self_contacts, self.self_den = (
+            _with_escalation(self._measure))
 
     def _measure(self, ctx):
         sigma = _expand_bipoly(ctx, self.f, self.depth)
@@ -718,13 +780,10 @@ class _Decomposition:
         for k in self.roots:
             classes[k], jac_counts[k] = self._classify(ctx, sigma, k)
         if not self.profile:
-            return classes, jac_counts, None
-        self_contacts = [
-            _decided_contacts(ctx, [sa], sigma[:a_idx] + sigma[a_idx + 1:],
-                              "conjugate roots of f")[0]
-            for a_idx, sa in enumerate(sigma)
-        ]
-        return classes, jac_counts, self_contacts
+            return classes, jac_counts, None, None
+        den = lcm(self.exponents[0], *(sa._den for sa in sigma))
+        self_contacts = _decided_contacts(ctx, sigma, sigma, den, "conjugate roots of f")
+        return classes, jac_counts, self_contacts, den
 
     def _classify(self, ctx, sigma, k):
         """Contact classes of the jacobian roots of index k, and their counts
@@ -736,40 +795,46 @@ class _Decomposition:
         # sigma, sigma_k or gamma needs a check here
         sigma_k = _expand_bipoly(ctx, self.roots[k], self.depth)
         gamma = _expand_bipoly(ctx, j1, self.depth)
-        threshold = Fraction(b[k + 1], b0)
+        den = lcm(b0, *(ps._den for ps in sigma + sigma_k + gamma))
+        unit = den // b0
+        threshold = b[k + 1] * unit
         if self.fk_given:
-            best = max(map(max, _decided_contacts(ctx, sigma_k, sigma,
+            best = max(map(max, _decided_contacts(ctx, sigma_k, sigma, den,
                                                   "validating the supplied root")))
             if best != threshold:
                 raise ValidationError(
-                    f"supplied polynomial has contact {best} with the branch, "
-                    f"expected {threshold}; it is not a curve of "
+                    f"supplied polynomial has contact {_ratio(best, den)} with the branch, "
+                    f"expected {Fraction(b[k + 1], b0)}; it is not a curve of "
                     f"maximal contact of index {k}"
                 )
-        o_f = _decided_contacts(ctx, gamma, sigma, "jacobian root against f")
-        o_fk = _decided_contacts(ctx, gamma, sigma_k, "jacobian root against the approximate root")
+        o_f = _decided_contacts(ctx, gamma, sigma, den, "jacobian root against f")
+        o_fk = _decided_contacts(ctx, gamma, sigma_k, den,
+                                 "jacobian root against the approximate root")
         # one class per key, in this order: None for the residual class, of
         # contact below the threshold, then each deeper characteristic value
-        members = {None: [], **{Fraction(b[i], b0): [] for i in range(k + 2, s.genus + 1)}}
+        # b_i/b_0, that is b_i*unit over den
+        members = {None: [], **{b[i] * unit: [] for i in range(k + 2, s.genus + 1)}}
         for idx, row in enumerate(o_f):
             tau = max(row)
             key = None if tau < threshold else tau
             if key not in members:
                 raise _EscalationNeeded(
-                    f"jacobian root has contact {tau} with the branch, which is "
-                    f"neither below {threshold} nor a characteristic value"
+                    f"jacobian root has contact {_ratio(tau, den)} with the branch, which "
+                    f"is neither below {Fraction(b[k + 1], b0)} nor a characteristic value"
                 )
             members[key].append(idx)
         classes = []
         for pos, (key, idxs) in enumerate(members.items()):
             # the residual class also takes the factor x^alpha of the jacobian
             x_power = alpha if key is None else 0
-            what = "residual class {}" if key is None else f"class {{}} at contact {key * b0}/{b0}"
-            f_sum = x_power * s.generators[0] + sum(sum(o_f[i]) for i in idxs)
-            fk_sum = x_power * (b0 // s.gcds[k]) + sum(sum(o_fk[i]) for i in idxs)
-            classes.append(ContactClass(pos, key, [gamma[i] for i in idxs], x_power,
-                                        _int_or_escalate(f_sum, what.format("length")),
-                                        _int_or_escalate(fk_sum, what.format("height"))))
+            what = ("residual class {}" if key is None
+                    else f"class {{}} at contact {key // unit}/{b0}")
+            f_sum = x_power * s.generators[0] * den + sum(sum(o_f[i]) for i in idxs)
+            fk_sum = x_power * (b0 // s.gcds[k]) * den + sum(sum(o_fk[i]) for i in idxs)
+            classes.append(ContactClass(pos, None if key is None else Fraction(key, den),
+                                        [gamma[i] for i in idxs], x_power,
+                                        _int_or_escalate(f_sum, den, what.format("length")),
+                                        _int_or_escalate(fk_sum, den, what.format("height"))))
         jac_counts = [sum(1 for row in o_f if row[s_idx] >= threshold)
                       for s_idx in range(len(sigma))]
         return classes, jac_counts
@@ -888,8 +953,9 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
             if j < g:
                 samples.append((Fraction(b[j + 1], b0), l[j] - 1))
         for tau, expected in samples:
+            limit = ceil(tau * dec.self_den)
             for row in dec.self_contacts:
-                got = sum(1 for v in row if v >= tau)
+                got = sum(1 for v in row if v >= limit)
                 if got != expected:
                     profile_ok = False
                     detail = f"at contact {tau}: {got} conjugates, expected {expected}"

@@ -12,15 +12,26 @@ iteration goes through one resultant per level, and Abhyankar's
 irreducibility criterion through BiPoly long division with a Newton edge
 asked at every level, where the library reads each level off an expansion
 on integer rows and asks for the edge at the last level of each polynomial.
+The Newton-Puiseux expander adds Fraction exponents level by level, where
+the library carries integers over one denominator.
 """
 
 import math
 from fractions import Fraction
-from math import gcd, inf
+from math import ceil, comb, gcd, inf, lcm
 
 from planebranch.branch import Semigroup, approximate_root
+from planebranch.diagram import lower_hull
 from planebranch.errors import ValidationError
 from planebranch.poly import BiPoly, _resultant_intersection
+from planebranch.puiseux import (
+    PuiseuxSeries,
+    _edge_roots,
+    _EscalationNeeded,
+    _poly_data,
+    _sort_key,
+    _with_escalation,
+)
 
 
 def det_fraction(matrix):
@@ -303,3 +314,94 @@ def semigroup_by_criterion(f: BiPoly):
         return Semigroup(tuple(gens))
     except ValidationError:
         return None
+
+
+def _expand_fractions(ctx, F, den, depth, truncated=False):
+    """All Puiseux tails of F(x, y) = 0 with y -> 0, complete below depth,
+    as (terms, truncation) pairs: each level adds its slope q to every
+    exponent and truncation of the tails below it, in Fractions."""
+    out = []
+    j_min = min(j for _, j in F)
+    if j_min > 0:
+        out.extend(([], depth if truncated else inf) for _ in range(j_min))
+        F = {(e, j - j_min): c for (e, j), c in F.items()}
+    degree = max(j for _, j in F)
+    if degree == 0:
+        return out
+    hull = lower_hull((j, e) for e, j in F)
+    expected = hull[-1][0]
+    limit = ceil(depth * expected * den)
+    kept = {key: c for key, c in F.items() if key[0] < limit}
+    truncated = truncated or len(kept) < len(F)
+    F = kept
+    for (j1, e1), (j2, e2) in zip(hull, hull[1:]):
+        width = j2 - j1
+        q = Fraction(e1 - e2, width * den)
+        if q >= depth:
+            out.extend(([], depth) for _ in range(width))
+            continue
+        phi = [0] * (width + 1)
+        for (e, j), c in F.items():
+            if j1 <= j <= j2 and (e - e1) * width == (e2 - e1) * (j - j1):
+                phi[j - j1] = c
+        sub_den = lcm(den, q.denominator)
+        scale, slope = sub_den // den, q.numerator * (sub_den // q.denominator)
+        for root, mu in _edge_roots(ctx, phi):
+            sub = _substitute_term_by_term(ctx, F, scale, slope, root)
+            tails = _expand_fractions(ctx, sub, sub_den, depth - q, truncated)
+            if len(tails) != mu:
+                raise _EscalationNeeded(
+                    f"root of multiplicity {mu} produced {len(tails)} continuations"
+                )
+            for terms, trunc in tails:
+                out.append(([(q, root)] + [(q + e, c) for e, c in terms], q + trunc))
+    if len(out) != j_min + expected:
+        raise _EscalationNeeded(
+            f"expected {j_min + expected} local roots, assembled {len(out)}"
+        )
+    return out
+
+
+def _substitute_term_by_term(ctx, F, scale, slope, c):
+    """F(x, x^q (c + y)) divided by its lowest power of x, chopped; the
+    powers of c are built again for every term."""
+    sums = {}
+    peaks = {}
+    for (e, j), a in F.items():
+        base = scale * e + slope * j
+        cm = 1
+        for t in range(j, -1, -1):
+            term = a * comb(j, t) * cm
+            key = (base, t)
+            sums[key] = sums.get(key, 0) + term
+            mag = abs(term)
+            if mag > peaks.get(key, 0.0):
+                peaks[key] = mag
+            cm = cm * c
+    new = {}
+    top = 0.0
+    for key, val in sums.items():
+        if abs(val) > ctx.chop_tol * peaks[key]:
+            new[key] = val
+            if abs(val) > top:
+                top = abs(val)
+    if not new:
+        raise _EscalationNeeded("substitution cancelled to zero")
+    shift = min(e for e, _ in new)
+    norm = 1.0 / top
+    return {(e - shift, j): v * norm for (e, j), v in new.items()}
+
+
+def expand_by_fractions(f: BiPoly, depth, min_bits: int = 53):
+    """puiseux_expand(f, depth, min_bits) with Fraction exponents added
+    level by level, climbing the same precision ladder."""
+    depth = Fraction(depth)
+
+    def worker(ctx):
+        _, f1 = f.x_content()
+        tails = _expand_fractions(ctx, _poly_data(ctx, f1), 1, depth)
+        series = [PuiseuxSeries(terms, trunc, ctx) for terms, trunc in tails]
+        series.sort(key=_sort_key)
+        return series
+
+    return _with_escalation(worker, min_bits)

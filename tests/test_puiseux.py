@@ -31,7 +31,9 @@ from planebranch import (
 from planebranch.fixtures import BRANCH_4_6_13, BRANCH_6_8_27, BRANCH_6_8_27_VARIANT
 import planebranch.poly as poly
 import planebranch.puiseux as puiseux
-from planebranch.puiseux import _Decomposition
+from planebranch.puiseux import PuiseuxSeries, _Decomposition
+
+from oracles import expand_by_fractions
 
 E = ElementarySegment
 D = NewtonDiagram
@@ -235,6 +237,63 @@ def test_expansion_is_consistent_across_depths(rng):
                 match = next((b for b in unmatched if _agree_below(a, b, depth)), None)
                 assert match is not None, (str(g), depth, str(a))
                 unmatched.remove(match)
+
+
+def _bits_of(series):
+    """Exponents, coefficients, truncation and tier of each series, in order;
+    repr tells 1 from Fraction(1, 1) and prints every bit of a float or an
+    mpmath number."""
+    return [([repr(e) for e, _ in s.terms], [repr(c) for _, c in s.terms], repr(s.truncation),
+             s.context.bits) for s in series]
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_expansion_matches_the_fraction_expander(rng, bits):
+    # steep tails and zero roots below a drop, three roots on one edge for
+    # the general finder, then branches, their characteristic roots and
+    # their jacobians at the verifier's depth
+    cases = [(parse_poly("y^2-x^3+x^100"), 4), (THREE_LINES, 2),
+             (parse_poly("(y-x)*(y-x-x^10)"), 2), (parse_poly("y*(y^2-x^3)+x^100"), 4)]
+    for _ in range(30):
+        f, s = random_test_branch(rng, max_degree=8, max_genus=2)
+        depth = Fraction(semigroup_to_char(s).exponents[-1], s.multiplicity) + 1
+        roots = characteristic_roots(f)
+        cases += [(g, depth) for g in (f, *roots, *(jacobian_det(fk, f) for fk in roots))]
+    for g, depth in cases:
+        expected = _bits_of(expand_by_fractions(g, depth, bits))
+        assert _bits_of(puiseux_expand(g, depth, min_bits=bits)) == expected, (str(g), depth)
+
+
+def test_truncation_is_the_depth_or_exact():
+    # a steep edge at the top, one below a double root, and a zero root
+    # that turns up once x^100 is dropped: each tail stops at the depth
+    jac = jacobian_det(characteristic_roots(BRANCH_6_8_27)[0], BRANCH_6_8_27)
+    kinds = set()
+    for f, depth in ((parse_poly("y*(y-x^10)"), 2), (parse_poly("(y-x)*(y-x-x^10)"), 2),
+                     (parse_poly("y^2-x^3+x^100"), 4), (parse_poly("y*(y^2-x^3)+x^100"), 3),
+                     (CUSP, 4), (jac, Fraction(31, 6))):
+        for s in puiseux_expand(f, depth):
+            assert s.truncation in (depth, inf), (str(f), str(s))
+            kinds.add(s.truncation == inf)
+    assert kinds == {True, False}
+
+
+def test_rebuilt_series_equal_expanded_ones(monkeypatch):
+    for f in (BRANCH_4_6_13, BRANCH_6_8_27, parse_poly("y^2-x^3+x^100")):
+        for s in puiseux_expand(f, 5):
+            t = PuiseuxSeries(s.terms, s.truncation)
+            assert t == s and hash(t) == hash(s)
+            assert t.ramification() == s.ramification()
+    pairs = [(BRANCH_4_6_13, CUSP), (BRANCH_6_8_27, parse_poly("y^3-x^4")),
+             (CUSP, parse_poly("y^2-x^3-x^4")), (BRANCH_4_6_13, BRANCH_4_6_13 + BiPoly.monomial(1, 20, 0))]
+    expected = [(contact(f, h), root_contacts(f, h)) for f, h in pairs]
+    expand = puiseux._expand_bipoly
+
+    def rebuilt(ctx, f, depth):
+        return [PuiseuxSeries(s.terms, s.truncation, ctx) for s in expand(ctx, f, depth)]
+
+    monkeypatch.setattr(puiseux, "_expand_bipoly", rebuilt)
+    assert [(contact(f, h), root_contacts(f, h)) for f, h in pairs] == expected
 
 
 def test_contact_frozen_values():
