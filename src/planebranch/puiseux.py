@@ -18,7 +18,7 @@ from __future__ import annotations
 from cmath import phase, rect
 from contextlib import nullcontext
 from fractions import Fraction
-from math import ceil, comb, factorial, gcd, inf, lcm, pi
+from math import ceil, comb, factorial, frexp, gcd, inf, lcm, ldexp, pi
 
 from ._value import Value, _is_int, _rational
 from .branch import (
@@ -93,6 +93,15 @@ class NumericContext:
         import mpmath
 
         return [mpmath.root(a, g, k) for k in range(g)]
+
+    def unit_scale(self, top):
+        """2^-k for the k with 2^(k-1) <= top < 2^k: a scale by which any
+        product is exact."""
+        if self.bits <= 53:
+            return ldexp(1.0, -frexp(top)[1])
+        import mpmath
+
+        return mpmath.ldexp(1, -mpmath.frexp(top)[1])
 
     def poly_roots(self, coeffs):
         """Roots of a dense polynomial, constant term first."""
@@ -344,7 +353,7 @@ def _poly_data(ctx, f: BiPoly):
     return {(i, j): ctx.number(c) for (i, j), c in f.terms()}
 
 
-def _expand(ctx, F, den, base, dn, dd, cut=False):
+def _expand(ctx, F, den, base, dn, dd, exact=inf):
     """All Puiseux tails of F(x, y) = 0 with y -> 0, complete below depth.
 
     F maps (E, j) to the coefficient of x^(E/den) y^j, with E and den
@@ -356,6 +365,8 @@ def _expand(ctx, F, den, base, dn, dd, cut=False):
     level adds its own term by appending.  cut means the tail is known only
     below depth; otherwise it is exact.  Leaf truncations telescope to the
     top depth, so depth and inf are the only truncations a series can have.
+    exact is inf while nothing above was cut; otherwise only the first
+    exact zero roots of F can be exact.
 
     Terms that cannot matter are dropped.  Let m be the j of the hull's
     bottom-right vertex (the one at E = 0), the number of roots expected.
@@ -373,11 +384,32 @@ def _expand(ctx, F, den, base, dn, dd, cut=False):
     as without it.  A dropped term may have been all that kept y from
     dividing a later F; once anything was dropped (cut), a zero root is
     therefore known only below depth, not exactly.
+
+    The next level's drop is applied here, before substituting.  A term
+    x^(E/den) y^j goes to x^((b - h)/den') (c + y)^j, where b = scale*E +
+    slope*j and h = scale*e1 + slope*j1 is the edge's value, the next
+    level's shift.  Its (h, mu) coefficient is the first nonzero
+    derivative of the edge polynomial at c, so that level's root count is
+    at most mu, or the count of continuations fails and the tier escalates
+    either way.  A term with b >= reach = h + ceil((rest - q)*mu*den')
+    therefore maps only to terms the next level would drop, and
+    _substitute never builds them.  Of the skipped terms at one b, the one
+    with the highest j alone makes its (b, j) column, which survives the
+    chop, so the next level would have dropped something: it is cut, as
+    its own drop would have made it.  Every column it keeps is summed from
+    the same terms in the same order as without the skip.  Only its count
+    of zero roots can grow, as a skipped term may have kept y from
+    dividing: those past the lowest y-power the whole substitution would
+    have had are cut, and _substitute reads that power off the skipped
+    terms' lower columns while nothing is cut.  Each F is scaled by a
+    power of two, which is exact, so the levels below see the same bits
+    up to that power whichever terms were built, and every tail comes out
+    the same.
     """
     out = []
     j_min = min(j for _, j in F)
     if j_min > 0:
-        out.extend((den, [], cut) for _ in range(j_min))
+        out.extend((den, [], i >= exact) for i in range(j_min))
         F = {(e, j - j_min): c for (e, j), c in F.items()}
     degree = max(j for _, j in F)
     if degree == 0:
@@ -386,7 +418,7 @@ def _expand(ctx, F, den, base, dn, dd, cut=False):
     expected = hull[-1][0]
     limit = -(-(dn * den - base * dd) * expected // dd)
     kept = {key: c for key, c in F.items() if key[0] < limit}
-    cut = cut or len(kept) < len(F)
+    cut = exact != inf or len(kept) < len(F)
     F = kept
     for (j1, e1), (j2, e2) in zip(hull, hull[1:]):
         width = j2 - j1
@@ -404,9 +436,11 @@ def _expand(ctx, F, den, base, dn, dd, cut=False):
         for (e, j), c in F.items():
             if j1 <= j <= j2 and (e - e1) * width == (e2 - e1) * (j - j1):
                 phi[j - j1] = c
+        h = scale * e1 + slope * j1
         for root, mu in _edge_roots(ctx, phi):
-            sub = _substitute(ctx, F, scale, slope, root)
-            tails = _expand(ctx, sub, sub_den, at, dn, dd, cut)
+            reach = h - (at * dd - dn * sub_den) * mu // dd
+            sub, sub_exact = _substitute(ctx, F, scale, slope, root, reach, cut)
+            tails = _expand(ctx, sub, sub_den, at, dn, dd, sub_exact)
             if len(tails) != mu:
                 raise _EscalationNeeded(
                     f"root of multiplicity {mu} produced {len(tails)} continuations"
@@ -421,11 +455,18 @@ def _expand(ctx, F, den, base, dn, dd, cut=False):
     return out
 
 
-def _substitute(ctx, F, scale, slope, c):
-    """F(x, x^q (c + y)) divided by its lowest power of x, chopped.
+def _substitute(ctx, F, scale, slope, c, reach, cut):
+    """F(x, x^q (c + y)) divided by its lowest power of x, chopped, and the
+    next level's count of zero roots that can be exact.
 
     Exponents move to the finer denominator den' = scale*den, in which
     q = slope/den': x^(E/den) y^j becomes x^((scale*E + slope*j)/den') (c + y)^j.
+    Terms whose new exponent is at or past reach are skipped (see _expand),
+    and the result is scaled by 2^-k, top < 2^k for its largest coefficient
+    top.  The count is 0 when cut, inf when nothing was skipped, and
+    otherwise the lowest y-power the result would have had with the
+    skipped terms: the same sums and chop over their y^t columns, t below
+    the lowest power kept.
     """
     # powers[i] = c^i, multiplied up from 1 once and shared by every term
     powers = [1]
@@ -433,8 +474,12 @@ def _substitute(ctx, F, scale, slope, c):
         powers.append(powers[-1] * c)
     sums = {}
     peaks = {}
+    skipped = []
     for (e, j), a in F.items():
         base = scale * e + slope * j
+        if base >= reach:
+            skipped.append((base, j, a))
+            continue
         for t in range(j, -1, -1):
             term = a * comb(j, t) * powers[j - t]
             key = (base, t)
@@ -451,9 +496,20 @@ def _substitute(ctx, F, scale, slope, c):
                 top = abs(val)
     if not new:
         raise _EscalationNeeded("substitution cancelled to zero")
+    exact = 0 if cut else inf
+    if skipped and not cut:
+        low = min(j for _, j in new)
+        columns = {}
+        for base, j, a in skipped:
+            for t in range(min(j, low - 1), -1, -1):
+                term = a * comb(j, t) * powers[j - t]
+                col, peak = columns.get((base, t), (0, 0.0))
+                columns[base, t] = (col + term, max(peak, abs(term)))
+        exact = min([low] + [t for (_, t), (col, peak) in columns.items()
+                             if abs(col) > ctx.chop_tol * peak])
     shift = min(e for e, _ in new)
-    norm = 1.0 / top
-    return {(e - shift, j): v * norm for (e, j), v in new.items()}
+    norm = ctx.unit_scale(top)
+    return {(e - shift, j): v * norm for (e, j), v in new.items()}, exact
 
 
 def _sort_key(series: PuiseuxSeries):

@@ -388,7 +388,7 @@ def _substitute_term_by_term(ctx, F, scale, slope, c):
     if not new:
         raise _EscalationNeeded("substitution cancelled to zero")
     shift = min(e for e, _ in new)
-    norm = 1.0 / top
+    norm = ctx.unit_scale(top)
     return {(e - shift, j): v * norm for (e, j), v in new.items()}
 
 

@@ -247,13 +247,24 @@ def _bits_of(series):
              s.context.bits) for s in series]
 
 
-@pytest.mark.parametrize("bits", [53, 128])
+# zero roots that stay exact although terms that kept y from dividing were
+# skipped before the substitution that reaches them
+EXACT_AFTER_A_SKIP = {"(y-x)*(y^2-x^3+x^6)": [inf, 4, 4],
+                      "(y-x^2)*(y^3-x^7+x^9)": [inf, 4, 4, 4],
+                      "(y^2-x^3)*(y^2-x^3+x^8)": [inf, 4, inf, 4]}
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256, 512])
 def test_expansion_matches_the_fraction_expander(rng, bits):
     # steep tails and zero roots below a drop, three roots on one edge for
-    # the general finder, then branches, their characteristic roots and
-    # their jacobians at the verifier's depth
+    # the general finder, zero roots past a skip, an exact root x + x^2
+    # cut by a skip two levels up, then branches, their characteristic
+    # roots and their jacobians at the verifier's depth; the reference
+    # builds every term, so bit identity shows the skip changes nothing
     cases = [(parse_poly("y^2-x^3+x^100"), 4), (THREE_LINES, 2),
-             (parse_poly("(y-x)*(y-x-x^10)"), 2), (parse_poly("y*(y^2-x^3)+x^100"), 4)]
+             (parse_poly("(y-x)*(y-x-x^10)"), 2), (parse_poly("y*(y^2-x^3)+x^100"), 4),
+             (parse_poly("(y-x)*(y-2*x+x^5)"), 4), (parse_poly("(y-x)*(y-x-x^2)*(y-2*x+x^7)"), 4)]
+    cases += [(parse_poly(f), 4) for f in EXACT_AFTER_A_SKIP]
     for _ in range(30):
         f, s = random_test_branch(rng, max_degree=8, max_genus=2)
         depth = Fraction(semigroup_to_char(s).exponents[-1], s.multiplicity) + 1
@@ -276,6 +287,8 @@ def test_truncation_is_the_depth_or_exact():
             assert s.truncation in (depth, inf), (str(f), str(s))
             kinds.add(s.truncation == inf)
     assert kinds == {True, False}
+    for f, truncations in EXACT_AFTER_A_SKIP.items():
+        assert [s.truncation for s in puiseux_expand(parse_poly(f), 4)] == truncations, f
 
 
 def test_rebuilt_series_equal_expanded_ones(monkeypatch):
