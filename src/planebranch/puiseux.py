@@ -103,6 +103,20 @@ class NumericContext:
 
         return mpmath.ldexp(1, -mpmath.frexp(top)[1])
 
+    def unit_root(self, num, den):
+        """exp(2*pi*i*num/den), a function of the fraction alone; exactly 1
+        when den divides num."""
+        num %= den
+        if not num:
+            return 1
+        k = gcd(num, den)
+        num, den = num // k, den // k
+        if self.bits <= 53:
+            return rect(1.0, 2 * pi * num / den)
+        import mpmath
+
+        return mpmath.expjpi(mpmath.mpf(2 * num) / den)
+
     def poly_roots(self, coeffs):
         """Roots of a dense polynomial, constant term first."""
         if self.bits <= 53:
@@ -277,13 +291,15 @@ def _classify_root(ctx, derivs, r_raw, scale):
     raise _EscalationNeeded(f"could not certify multiplicity near root {complex(r_raw)}")
 
 
-def _edge_roots(ctx, coeffs):
-    """Distinct roots of an edge polynomial with certified multiplicities.
+def _edge_roots(ctx, coeffs, scale):
+    """Distinct roots of an edge polynomial with certified multiplicities,
+    one per orbit of z -> e^(2 pi i/scale) z.
 
     The edge polynomial is P(z^g), g the gcd of the exponents of its nonzero
     coefficients, so a root w of P of multiplicity mu gives the g roots of
     z^g = w, each of multiplicity mu; w != 0, as P's constant term is a
-    hull vertex.  P, of degree m, is first tried as one cluster
+    hull vertex.  scale divides g, and the first g/scale of those roots
+    are one per orbit.  P, of degree m, is first tried as one cluster
     P[m](w - a)^m around the mean a = -P[m-1]/(m P[m]) of its roots.  The
     cluster is accepted when _classify_root's certificate of an m-fold
     root holds at a: every entry of the scaled derivative profile at a,
@@ -304,7 +320,7 @@ def _edge_roots(ctx, coeffs):
         roots = [(a, m)]
     else:
         roots = _certified_roots(ctx, derivs)
-    return [(z, mu) for w, mu in roots for z in ctx.nth_roots(w, g)]
+    return [(z, mu) for w, mu in roots for z in ctx.nth_roots(w, g)[:g // scale]]
 
 
 def _certified_roots(ctx, derivs):
@@ -405,6 +421,18 @@ def _expand(ctx, F, den, base, dn, dd, exact=inf):
     power of two, which is exact, so the levels below see the same bits
     up to that power whichever terms were built, and every tail comes out
     the same.
+
+    Each edge expands one root per orbit and rotates it into the others.
+    Its lattice points have j - j1 a multiple of w = width/gcd(width,
+    e1 - e2), and den' divides w*den, so scale divides w and the edge
+    polynomial is phi(z) = Q(z^scale).  Each prime of scale divides the
+    denominator of q as often as it divides den', so slope is prime to
+    scale.  The map x^(1/tden) -> e^(2 pi i r*den/tden) x^(1/tden), on any
+    finer tden, fixes F and sends the root c to c*e^(2 pi i r*slope/scale),
+    so r = 0..scale-1 runs over c's orbit, and each tail of c to a tail of
+    that image: its terms c*x^(N/tden) times e^(2 pi i r*den*N/tden).  A
+    rotation keeps every exponent and magnitude, so every hull, drop, skip
+    and cut flag above is the same for each image as for c.
     """
     out = []
     j_min = min(j for _, j in F)
@@ -437,7 +465,7 @@ def _expand(ctx, F, den, base, dn, dd, exact=inf):
             if j1 <= j <= j2 and (e - e1) * width == (e2 - e1) * (j - j1):
                 phi[j - j1] = c
         h = scale * e1 + slope * j1
-        for root, mu in _edge_roots(ctx, phi):
+        for root, mu in _edge_roots(ctx, phi, scale):
             reach = h - (at * dd - dn * sub_den) * mu // dd
             sub, sub_exact = _substitute(ctx, F, scale, slope, root, reach, cut)
             tails = _expand(ctx, sub, sub_den, at, dn, dd, sub_exact)
@@ -447,7 +475,9 @@ def _expand(ctx, F, den, base, dn, dd, exact=inf):
                 )
             for tden, terms, tail_cut in tails:
                 terms.append((at * (tden // sub_den), root))
-                out.append((tden, terms, tail_cut))
+            out.extend(tails)
+            out.extend((tden, [(n, c * ctx.unit_root(r * den * n, tden)) for n, c in terms], tail_cut)
+                       for r in range(1, scale) for tden, terms, tail_cut in tails)
     if len(out) != j_min + expected:
         raise _EscalationNeeded(
             f"expected {j_min + expected} local roots, assembled {len(out)}"

@@ -13,7 +13,9 @@ irreducibility criterion through BiPoly long division with a Newton edge
 asked at every level, where the library reads each level off an expansion
 on integer rows and asks for the edge at the last level of each polynomial.
 The Newton-Puiseux expander adds Fraction exponents level by level, where
-the library carries integers over one denominator.
+the library carries integers over one denominator, and rotates each root's
+tails into its conjugates by those Fractions; its every_root mode expands
+every conjugate instead.
 """
 
 import math
@@ -316,10 +318,13 @@ def semigroup_by_criterion(f: BiPoly):
         return None
 
 
-def _expand_fractions(ctx, F, den, depth, truncated=False):
+def _expand_fractions(ctx, F, den, depth, every_root, truncated=False):
     """All Puiseux tails of F(x, y) = 0 with y -> 0, complete below depth,
     as (terms, truncation) pairs: each level adds its slope q to every
-    exponent and truncation of the tails below it, in Fractions."""
+    exponent and truncation of the tails below it, in Fractions.  Unless
+    every_root is set, one root per orbit of an edge is expanded and the
+    other scale - 1 are its tails with each term c*x^e times
+    e^(2 pi i r*den*e), e counted from this level."""
     out = []
     j_min = min(j for _, j in F)
     if j_min > 0:
@@ -346,15 +351,20 @@ def _expand_fractions(ctx, F, den, depth, truncated=False):
                 phi[j - j1] = c
         sub_den = lcm(den, q.denominator)
         scale, slope = sub_den // den, q.numerator * (sub_den // q.denominator)
-        for root, mu in _edge_roots(ctx, phi):
+        orbit = 1 if every_root else scale
+        for root, mu in _edge_roots(ctx, phi, orbit):
             sub = _substitute_term_by_term(ctx, F, scale, slope, root)
-            tails = _expand_fractions(ctx, sub, sub_den, depth - q, truncated)
+            tails = _expand_fractions(ctx, sub, sub_den, depth - q, every_root, truncated)
             if len(tails) != mu:
                 raise _EscalationNeeded(
                     f"root of multiplicity {mu} produced {len(tails)} continuations"
                 )
-            for terms, trunc in tails:
-                out.append(([(q, root)] + [(q + e, c) for e, c in terms], q + trunc))
+            tails = [([(q, root)] + [(q + e, c) for e, c in terms], q + trunc)
+                     for terms, trunc in tails]
+            out.extend(tails)
+            for r in range(1, orbit):
+                out.extend(([(e, c * ctx.unit_root(r * den * e.numerator, e.denominator))
+                             for e, c in terms], trunc) for terms, trunc in tails)
     if len(out) != j_min + expected:
         raise _EscalationNeeded(
             f"expected {j_min + expected} local roots, assembled {len(out)}"
@@ -392,14 +402,15 @@ def _substitute_term_by_term(ctx, F, scale, slope, c):
     return {(e - shift, j): v * norm for (e, j), v in new.items()}
 
 
-def expand_by_fractions(f: BiPoly, depth, min_bits: int = 53):
+def expand_by_fractions(f: BiPoly, depth, min_bits: int = 53, every_root: bool = False):
     """puiseux_expand(f, depth, min_bits) with Fraction exponents added
-    level by level, climbing the same precision ladder."""
+    level by level, climbing the same precision ladder; every_root expands
+    each conjugate root on its own."""
     depth = Fraction(depth)
 
     def worker(ctx):
         _, f1 = f.x_content()
-        tails = _expand_fractions(ctx, _poly_data(ctx, f1), 1, depth)
+        tails = _expand_fractions(ctx, _poly_data(ctx, f1), 1, depth, every_root)
         series = [PuiseuxSeries(terms, trunc, ctx) for terms, trunc in tails]
         series.sort(key=_sort_key)
         return series

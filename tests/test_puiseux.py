@@ -1,7 +1,8 @@
 """Numeric Newton-Puiseux engine and the decomposition cross-checks."""
 
+from collections import Counter
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 
 import pytest
 
@@ -133,7 +134,7 @@ def test_general_root_finder_serves_every_tier(monkeypatch, bits):
 def _roots(bits, coeffs):
     ctx = puiseux.NumericContext(bits)
     with ctx.guard():
-        found = puiseux._edge_roots(ctx, [ctx.number(Fraction(c)) for c in coeffs])
+        found = puiseux._edge_roots(ctx, [ctx.number(Fraction(c)) for c in coeffs], 1)
     return sorted(((complex(z), mu) for z, mu in found), key=lambda r: (r[0].real, r[0].imag))
 
 
@@ -254,13 +255,11 @@ EXACT_AFTER_A_SKIP = {"(y-x)*(y^2-x^3+x^6)": [inf, 4, 4],
                       "(y^2-x^3)*(y^2-x^3+x^8)": [inf, 4, inf, 4]}
 
 
-@pytest.mark.parametrize("bits", [53, 128, 256, 512])
-def test_expansion_matches_the_fraction_expander(rng, bits):
-    # steep tails and zero roots below a drop, three roots on one edge for
-    # the general finder, zero roots past a skip, an exact root x + x^2
-    # cut by a skip two levels up, then branches, their characteristic
-    # roots and their jacobians at the verifier's depth; the reference
-    # builds every term, so bit identity shows the skip changes nothing
+def _differential_corpus(rng):
+    """Steep tails and zero roots below a drop, three roots on one edge for
+    the general finder, zero roots past a skip, an exact root x + x^2 cut
+    by a skip two levels up, then branches, their characteristic roots and
+    their jacobians at the verifier's depth."""
     cases = [(parse_poly("y^2-x^3+x^100"), 4), (THREE_LINES, 2),
              (parse_poly("(y-x)*(y-x-x^10)"), 2), (parse_poly("y*(y^2-x^3)+x^100"), 4),
              (parse_poly("(y-x)*(y-2*x+x^5)"), 4), (parse_poly("(y-x)*(y-x-x^2)*(y-2*x+x^7)"), 4)]
@@ -270,9 +269,99 @@ def test_expansion_matches_the_fraction_expander(rng, bits):
         depth = Fraction(semigroup_to_char(s).exponents[-1], s.multiplicity) + 1
         roots = characteristic_roots(f)
         cases += [(g, depth) for g in (f, *roots, *(jacobian_det(fk, f) for fk in roots))]
-    for g, depth in cases:
+    return cases
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256, 512])
+def test_expansion_matches_the_fraction_expander(rng, bits):
+    # the reference builds every term and rotates conjugates by its own
+    # Fraction exponents, so bit identity shows that neither the skip nor
+    # the integer exponents change anything
+    for g, depth in _differential_corpus(rng):
         expected = _bits_of(expand_by_fractions(g, depth, bits))
         assert _bits_of(puiseux_expand(g, depth, min_bits=bits)) == expected, (str(g), depth)
+
+
+def _expand_or_none(expand):
+    try:
+        return expand()
+    except NumericError:
+        return None
+
+
+def _shape_key(series):
+    return series.support(), series.truncation, series.context.bits
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256, 512])
+def test_rotated_conjugates_match_every_root_expanded(rng, bits):
+    # a conjugate made by rotation has the exponents, truncation and tier
+    # of the one expanded on its own, and its coefficients up to rounding
+    tol = 2.0 ** -(bits - 16)
+    for g, depth in _differential_corpus(rng):
+        got = _expand_or_none(lambda: puiseux_expand(g, depth, min_bits=bits))
+        full = _expand_or_none(lambda: expand_by_fractions(g, depth, bits, every_root=True))
+        assert (got is None) == (full is None), (str(g), depth)
+        if got is None:
+            continue
+        assert Counter(map(_shape_key, got)) == Counter(map(_shape_key, full)), (str(g), depth)
+        unmatched = list(full)
+        for a in got:
+            match = next((b for b in unmatched if _shape_key(b) == _shape_key(a) and all(
+                abs(ca - cb) <= tol * max(abs(ca), abs(cb))
+                for (_, ca), (_, cb) in zip(a.terms, b.terms))), None)
+            assert match is not None, (str(g), depth, str(a))
+            unmatched.remove(match)
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256, 512])
+def test_unit_root_is_a_function_of_the_fraction(bits):
+    # the reference rotates by its reduced Fraction exponents and the
+    # expander by integers over a finer denominator; 2*pi*13/39 and
+    # 2*pi*1/3 round apart in floats, so the fraction is reduced first
+    ctx = puiseux.NumericContext(bits)
+    with ctx.guard():
+        assert [repr(ctx.unit_root(n, 7)) for n in (0, 14, -7)] == ["1"] * 3
+        third = ctx.unit_root(1, 3)
+        assert {repr(ctx.unit_root(n, d)) for n, d in ((13, 39), (17, 51), (4, 3))} == {repr(third)}
+        assert abs(third ** 3 - 1) < 2.0 ** -(bits - 4)
+
+
+def test_every_edge_is_whole_orbits(rng, monkeypatch):
+    # the lemma the rotation stands on: each edge polynomial is Q(z^scale)
+    # and its slope is prime to scale, so z -> e^(2 pi i slope/scale) z
+    # runs over each orbit of its roots
+    edges = []
+    edge_roots, substitute = puiseux._edge_roots, puiseux._substitute
+
+    def record_edge(ctx, phi, scale):
+        edges[-1][1].append([i for i, c in enumerate(phi) if c])
+        edges[-1][2].append(scale)
+        return edge_roots(ctx, phi, scale)
+
+    def record_slope(ctx, F, scale, slope, *rest):
+        edges[-1][3].append((scale, slope))
+        return substitute(ctx, F, scale, slope, *rest)
+
+    monkeypatch.setattr(puiseux, "_edge_roots", record_edge)
+    monkeypatch.setattr(puiseux, "_substitute", record_slope)
+    # the scales above 1 of each hand-built case, the second level of
+    # <6,8,27> included
+    hand = {str(parse_poly(f)): scales
+            for f, scales in (("y^4-x^6", [2]), ("y^3-x^4", [3]), (str(BRANCH_6_8_27), [3, 2]))}
+    cases = _differential_corpus(rng) + [(parse_poly(f), 4) for f in hand]
+    for g, depth in cases:
+        edges.append((str(g), [], [], []))
+        puiseux_expand(g, depth)
+    for g, supports, scales, slopes in edges:
+        for support, scale in zip(supports, scales):
+            assert all(i % scale == 0 for i in support), (g, support, scale)
+        assert all(gcd(slope, scale) == 1 for scale, slope in slopes), (g, slopes)
+    assert {g: [scale for scale in scales if scale > 1]
+            for g, _, scales, _ in edges[-3:]} == hand
+    # the one edge of y^4 - x^6 is z^4 - 1, whose four roots form two
+    # orbits of two, so it is substituted twice, not four times
+    assert edges[-3][1:] == ([[0, 4]], [2], [(2, 3)] * 2)
 
 
 def test_truncation_is_the_depth_or_exact():
@@ -423,6 +512,17 @@ def test_verify_decomposition_with_an_eightfold_top_edge():
     f = build_test_branch(Semigroup((16, 40, 84, 174, 355)))
     report = verify_decomposition(f)
     assert len(report) == 36
+    assert all(ok for _, ok, _ in report)
+
+
+@pytest.mark.parametrize("gens", [(12, 18, 39, 119), (24, 32, 100, 211)])
+def test_verify_decomposition_with_rotated_conjugates(gens):
+    # expanded root by root, an edge below some conjugate of f or of a
+    # jacobian root failed its multiplicity certificate at 53 bits, the
+    # root finder did not converge above, and the verifier ended in
+    # NumericError; each orbit is now expanded from one root
+    report = verify_decomposition(build_test_branch(Semigroup(gens)))
+    assert len(report) == 27
     assert all(ok for _, ok, _ in report)
 
 
