@@ -2,9 +2,10 @@
 Numeric cross-check of the closed formula
 =========================================
 
-Expand Newton-Puiseux roots with certified multiplicities, group the
-jacobian roots by their contact with the branch, and compare the diagram
-built from those groups against the closed formula.
+Expand Newton-Puiseux roots with certified multiplicities, measure the
+diagram from the jacobian roots by its definition, compare it against the
+closed formula, and group the jacobian roots by their contact with the
+branch.
 """
 
 from planebranch import (
@@ -34,14 +35,15 @@ for name, ok, detail in verify_cycle(f):
 print("\ncontact with y:        ", contact(f, parse_poly("y")))
 print("contact with y^2 - x^3:", contact(f, parse_poly("y^2-x^3")))
 
-# jacobian roots grouped by contact; each group contributes one segment
+# jacobian roots grouped by contact, with each group's intersections
 print()
 for cls in contact_classes(f, k=0):
     where = "residual" if cls.contact is None else f"contact {cls.contact}"
     print(f"class ({where}): {len(cls.roots)} roots, x power {cls.x_power},"
           f" segment {cls.segment()}")
 
-# the groups rebuild the diagram that the formula predicts
+# each jacobian root gamma adds {I(gamma, f) \ I(gamma, f_k)}, and x^a
+# adds {a*deg_y f \ a*deg_y f_k}: the sum is the diagram the formula predicts
 print("\noracle k=0: ", jnd_oracle(f, 0))
 print("formula k=0:", jnd_formula(s, 0))
 

@@ -27,6 +27,8 @@ __all__ = [
     "diagram_difference",
 ]
 
+_SVG_GRID_UNITS = 100
+
 
 def _frac_or_inf(value, what: str):
     if value == inf:
@@ -295,20 +297,19 @@ class NewtonDiagram(Value):
             f'viewBox="0 0 {w} {h}">',
             f'<rect width="{w}" height="{h}" fill="white"/>',
         ]
-        gx = 0
-        while gx <= max_x:
-            parts.append(
-                f'<line x1="{sx(gx):.1f}" y1="{sy(0):.1f}" x2="{sx(gx):.1f}" '
-                f'y2="{sy(max_y):.1f}" stroke="#ddd" stroke-width="1"/>'
-            )
-            gx += 1
-        gy = 0
-        while gy <= max_y:
-            parts.append(
-                f'<line x1="{sx(0):.1f}" y1="{sy(gy):.1f}" x2="{sx(max_x):.1f}" '
-                f'y2="{sy(gy):.1f}" stroke="#ddd" stroke-width="1"/>'
-            )
-            gy += 1
+        # a line per unit would make the file grow with the diagram, so the
+        # grid is drawn only up to _SVG_GRID_UNITS units a side
+        if max_x <= _SVG_GRID_UNITS and max_y <= _SVG_GRID_UNITS:
+            for gx in range(int(max_x) + 1):
+                parts.append(
+                    f'<line x1="{sx(gx):.1f}" y1="{sy(0):.1f}" x2="{sx(gx):.1f}" '
+                    f'y2="{sy(max_y):.1f}" stroke="#ddd" stroke-width="1"/>'
+                )
+            for gy in range(int(max_y) + 1):
+                parts.append(
+                    f'<line x1="{sx(0):.1f}" y1="{sy(gy):.1f}" x2="{sx(max_x):.1f}" '
+                    f'y2="{sy(gy):.1f}" stroke="#ddd" stroke-width="1"/>'
+                )
         top = verts[0]
         bottom = verts[-1]
         # boundary rays of the diagram region

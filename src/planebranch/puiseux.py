@@ -642,6 +642,14 @@ def _ratio(n, den):
     return inf if n == inf else Fraction(n, den)
 
 
+def _contacts(ctx, rows, cols, den):
+    """Contact of each series in rows with each other series in cols, row by
+    row, as integers over den; None where only a lower bound is known."""
+    lim = [_limit(b, den) for b in cols]
+    return [[_pair_contact(ctx, a, b, den, min(la, lb)) for b, lb in zip(cols, lim) if b is not a]
+            for a, la in zip(rows, [_limit(a, den) for a in rows])]
+
+
 def _root_contacts_deepening(f: BiPoly, h: BiPoly, depth, settled):
     """Deepen the expansions of f and h until settled(values) holds.
 
@@ -660,11 +668,8 @@ def _root_contacts_deepening(f: BiPoly, h: BiPoly, depth, settled):
         if not sf or not sh:
             raise ValidationError("contact needs curves through the origin")
         den = lcm(*(ps._den for ps in sf + sh))
-        limits = [_limit(a, den) for a in sf]
         values = []
-        for b in sh:
-            lb = _limit(b, den)
-            row = [_pair_contact(ctx, a, b, den, min(la, lb)) for a, la in zip(sf, limits)]
+        for row in _contacts(ctx, sh, sf, den):
             best = max((v for v in row if v is not None), default=0)
             decided = None not in row
             # an undecided pair stops at the truncation d, above every
@@ -766,23 +771,12 @@ class ContactClass(Value):
 
 
 def _decided_contacts(ctx, rows, cols, den, what):
-    """Contact of each series in rows with each other series in cols, row by
-    row, as integers over den; escalates on the first pair whose contact is
-    only a lower bound."""
-    limits = [_limit(b, den) for b in cols]
-    matrix = []
-    for a in rows:
-        la = _limit(a, den)
-        matrix.append([])
-        for b, lb in zip(cols, limits):
-            if b is a:
-                continue
-            v = _pair_contact(ctx, a, b, den, min(la, lb))
-            if v is None:
-                raise _EscalationNeeded(
-                    f"{what}: contact undecided at bound {min(a.truncation, b.truncation)}"
-                )
-            matrix[-1].append(v)
+    """_contacts, escalating if any is only a lower bound; all the series share
+    one depth, their lowest truncation, which the message names as the bound."""
+    matrix = _contacts(ctx, rows, cols, den)
+    if any(None in row for row in matrix):
+        raise _EscalationNeeded(f"{what}: contact undecided at bound "
+                                f"{min(ps.truncation for ps in rows + cols)}")
     return matrix
 
 
@@ -792,6 +786,23 @@ def _int_or_escalate(total: int, den: int, what: str) -> int:
     if rest:
         raise _EscalationNeeded(f"{what} summed to the non-integer {Fraction(total, den)}")
     return quotient
+
+
+def _jacobian_diagram(ord_f, ord_fk, den, alpha, deg_f, deg_fk) -> NewtonDiagram:
+    """The jacobian Newton diagram of (f_k, f) by its definition (Teissier
+    1977): {I(gamma, f) \\ I(gamma, f_k)} summed by reduced inclination over
+    the jacobian's roots gamma, of orders ord_f and ord_fk over den, and its
+    factor x^alpha, of orders alpha*deg_f and alpha*deg_fk: I(x, p) = deg_y p."""
+    sums = {}
+    for a, b in zip([alpha * deg_f * den, *ord_f], [alpha * deg_fk * den, *ord_fk]):
+        d = gcd(a, b)
+        if d:  # 0 only for x^alpha with alpha = 0
+            sa, sb = sums.get((a // d, b // d), (0, 0))
+            sums[a // d, b // d] = (sa + a, sb + b)
+    return NewtonDiagram([
+        ElementarySegment(_int_or_escalate(a, den, f"length at inclination {p}/{q}"),
+                          _int_or_escalate(b, den, f"height at inclination {p}/{q}"))
+        for (p, q), (a, b) in sums.items()])
 
 
 class _Decomposition:
@@ -813,8 +824,10 @@ class _Decomposition:
     indices lists the k to decompose, None meaning 0..g-1, or the index of
     fk when one is supplied.  Per k, roots[k] is the curve of maximal
     contact, jacobians[k] the jacobian of (roots[k], f), classes[k] its
-    contact classes and jac_counts[k], for each root of f, the number of
-    jacobian roots with contact at least b_(k+1)/b_0 with it.
+    contact classes, jac_counts[k], for each root of f, the number of
+    jacobian roots with contact at least b_(k+1)/b_0 with it, and
+    diagrams[k] the jacobian Newton diagram measured root by root, which
+    reads neither the semigroup nor the classes.
     self_contacts holds, for each root of f, its contacts with the other
     conjugates as integers over self_den; both are None without profile.
     Every contact is compared as an integer over a common multiple of b_0
@@ -857,28 +870,30 @@ class _Decomposition:
         self.exponents = semigroup_to_char(s).exponents
         self.depth = Fraction(self.exponents[-1], self.exponents[0]) + 1
         self.profile = profile
-        self.classes, self.jac_counts, self.self_contacts, self.self_den = (
+        self.classes, self.jac_counts, self.diagrams, self.self_contacts, self.self_den = (
             _with_escalation(self._measure))
 
     def _measure(self, ctx):
         sigma = _expand_bipoly(ctx, self.f, self.depth)
-        classes, jac_counts = {}, {}
+        classes, jac_counts, diagrams = {}, {}, {}
         for k in self.roots:
-            classes[k], jac_counts[k] = self._classify(ctx, sigma, k)
+            classes[k], jac_counts[k], diagrams[k] = self._classify(ctx, sigma, k)
         if not self.profile:
-            return classes, jac_counts, None, None
+            return classes, jac_counts, diagrams, None, None
         den = lcm(self.exponents[0], *(sa._den for sa in sigma))
         self_contacts = _decided_contacts(ctx, sigma, sigma, den, "conjugate roots of f")
-        return classes, jac_counts, self_contacts, den
+        return classes, jac_counts, diagrams, self_contacts, den
 
     def _classify(self, ctx, sigma, k):
-        """Contact classes of the jacobian roots of index k, and their counts
-        at contact b_(k+1)/b_0 or more with each root of f."""
+        """Contact classes of the jacobian roots of index k, their counts at
+        contact b_(k+1)/b_0 or more with each root of f, and the diagram of
+        (f_k, f) measured from the same contacts."""
         s, b = self.s, self.exponents
         b0 = b[0]
         alpha, j1 = self.jacobians[k].x_content()
         # _expand escalates unless it finds every root, so no count of
-        # sigma, sigma_k or gamma needs a check here
+        # sigma, sigma_k or gamma needs a check here, and the counts of
+        # sigma and sigma_k are the y-degrees, I(x, f) and I(x, f_k)
         sigma_k = _expand_bipoly(ctx, self.roots[k], self.depth)
         gamma = _expand_bipoly(ctx, j1, self.depth)
         den = lcm(b0, *(ps._den for ps in sigma + sigma_k + gamma))
@@ -896,6 +911,9 @@ class _Decomposition:
         o_f = _decided_contacts(ctx, gamma, sigma, den, "jacobian root against f")
         o_fk = _decided_contacts(ctx, gamma, sigma_k, den,
                                  "jacobian root against the approximate root")
+        # I(gamma, f) and I(gamma, f_k) of each jacobian root, over den
+        ord_f = [sum(row) for row in o_f]
+        ord_fk = [sum(row) for row in o_fk]
         # one class per key, in this order: None for the residual class, of
         # contact below the threshold, then each deeper characteristic value
         # b_i/b_0, that is b_i*unit over den
@@ -915,15 +933,16 @@ class _Decomposition:
             x_power = alpha if key is None else 0
             what = ("residual class {}" if key is None
                     else f"class {{}} at contact {key // unit}/{b0}")
-            f_sum = x_power * s.generators[0] * den + sum(sum(o_f[i]) for i in idxs)
-            fk_sum = x_power * (b0 // s.gcds[k]) * den + sum(sum(o_fk[i]) for i in idxs)
+            f_sum = x_power * s.generators[0] * den + sum(ord_f[i] for i in idxs)
+            fk_sum = x_power * (b0 // s.gcds[k]) * den + sum(ord_fk[i] for i in idxs)
             classes.append(ContactClass(pos, None if key is None else Fraction(key, den),
                                         [gamma[i] for i in idxs], x_power,
                                         _int_or_escalate(f_sum, den, what.format("length")),
                                         _int_or_escalate(fk_sum, den, what.format("height"))))
         jac_counts = [sum(1 for row in o_f if row[s_idx] >= threshold)
                       for s_idx in range(len(sigma))]
-        return classes, jac_counts
+        diagram = _jacobian_diagram(ord_f, ord_fk, den, alpha, len(sigma), len(sigma_k))
+        return classes, jac_counts, diagram
 
 
 def contact_classes(f: BiPoly, k: int, fk: BiPoly | None = None):
@@ -931,33 +950,15 @@ def contact_classes(f: BiPoly, k: int, fk: BiPoly | None = None):
     return _Decomposition(f, [k], fk).classes[k]
 
 
-def _oracle_diagram(classes) -> NewtonDiagram:
-    segments = []
-    for cls in classes:
-        if cls.f_intersection == 0 and cls.fk_intersection == 0:
-            continue
-        if cls.f_intersection <= 0 or cls.fk_intersection <= 0:
-            raise VerificationError(
-                f"degenerate contact class with intersections "
-                f"({cls.f_intersection}, {cls.fk_intersection})"
-            )
-        segments.append(cls.segment())
-    for a, b in zip(segments, segments[1:]):
-        if a.inclination >= b.inclination:
-            raise VerificationError(
-                "contact classes are not ordered by strictly increasing inclination"
-            )
-    return NewtonDiagram(segments)
-
-
 def jnd_oracle(f: BiPoly, k: int, fk: BiPoly | None = None) -> NewtonDiagram:
     """Jacobian Newton diagram measured from actual Puiseux roots.
 
-    Independent of the closed formula: the jacobian curve is expanded,
-    its roots are grouped by contact with the branch, and each group
-    contributes one segment of exact intersection numbers.
+    Independent of the closed formula: the jacobian curve is expanded, and
+    each root gamma contributes the segment {I(gamma, f) \\ I(gamma, f_k)}
+    of its contacts with the roots of f and of f_k; the factor x^alpha of
+    the jacobian contributes {alpha*deg_y f \\ alpha*deg_y f_k}.
     """
-    return _oracle_diagram(contact_classes(f, k, fk))
+    return _Decomposition(f, [k], fk).diagrams[k]
 
 
 def verify_cycle(f: BiPoly, depth=None):
@@ -965,7 +966,9 @@ def verify_cycle(f: BiPoly, depth=None):
 
     The roots must form one conjugacy cycle: full count, full ramification
     in every root, a common exponent support, and matching coefficient
-    magnitudes across conjugates.
+    magnitudes across conjugates.  The expander rotates every conjugate out
+    of one expanded root per orbit, so the last two hold by construction:
+    they check the rotation, not the branch.
     """
     s = semigroup_of(f)
     char = semigroup_to_char(s)
@@ -980,14 +983,9 @@ def verify_cycle(f: BiPoly, depth=None):
     report.append(("ramification", rams == [b0], f"{rams} vs [{b0}]"))
     supports = {ps.support() for ps in series}
     report.append(("common support", len(supports) == 1, f"{len(supports)} support sets"))
-    mags_ok = True
     if len(supports) == 1 and series:
-        for pos, e in enumerate(series[0].support()):
-            mags = [abs(ps.terms[pos][1]) for ps in series]
-            top, bottom = max(mags), min(mags)
-            if bottom == 0 or top / bottom > 1 + 1e-6:
-                mags_ok = False
-                break
+        mags_ok = all(min(col) > 0 and max(col) / min(col) <= 1 + 1e-6
+                      for col in zip(*([abs(c) for _, c in ps.terms] for ps in series)))
         report.append(("conjugate magnitudes", mags_ok, "moduli agree across the cycle"))
     failures = [name for name, ok, _ in report if not ok]
     if failures:
@@ -998,7 +996,7 @@ def verify_cycle(f: BiPoly, depth=None):
 def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = None):
     """Cross-check the closed diagram formula against Puiseux reality.
 
-    Runs, for each index (or the one given): the contact-class oracle, the
+    Runs, for each index (or the one given): the measured diagram, the
     conjugate-contact profile of f, the jacobian contact counts, the class
     sizes, both diagram totals, and the exact totals I(J_k, f) and
     I(J_k, f_k).  The exact totals come from intersection_multiplicity,
@@ -1023,7 +1021,7 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
     for kk, classes in dec.classes.items():
         tag = f"k={kk}"
         predicted = jnd_formula(s, kk)
-        measured = _oracle_diagram(classes)
+        measured = dec.diagrams[kk]
         check(f"{tag}: oracle diagram matches formula", measured == predicted,
               f"{measured} vs {predicted}")
 

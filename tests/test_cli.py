@@ -1,6 +1,7 @@
 """Command line behavior: outputs, exit codes, JSON determinism, batch."""
 
 import json
+import time
 
 import pytest
 
@@ -200,6 +201,19 @@ def test_jnd_svg(capsys, tmp_path):
     assert text.startswith("<svg") and "</svg>" in text
     code, _, err = run(capsys, "jnd", "--semigroup", "4,6,13", "--svg", str(target))
     assert code == 1 and "single --k" in err
+
+
+def test_jnd_svg_size_does_not_grow_with_the_generators(capsys, tmp_path):
+    # a grid line per unit made <2, 200001> a 57 MB file written in 1.4 s;
+    # the grid stops at 100 units a side
+    small, huge = tmp_path / "small.svg", tmp_path / "huge.svg"
+    assert run(capsys, "jnd", "--semigroup", "4,6,13", "--k", "0", "--svg", str(small))[0] == 0
+    # its vertices reach (21, 0) and (0, 5): grid lines at x = 0..22, y = 0..6
+    assert small.read_text().count('stroke="#ddd"') == 23 + 7
+    start = time.perf_counter()
+    code, _, _ = run(capsys, "jnd", "--semigroup", "2,2000000001", "--k", "0", "--svg", str(huge))
+    assert code == 0 and time.perf_counter() - start < 1
+    assert huge.stat().st_size < 10_000 and 'stroke="#ddd"' not in huge.read_text()
 
 
 def test_jnd_svg_needs_one_k_before_any_verification(capsys, tmp_path, monkeypatch):

@@ -24,6 +24,7 @@ from planebranch import (
     parse_poly,
     puiseux_expand,
     random_test_branch,
+    recover_semigroup,
     root_contacts,
     semigroup_to_char,
     verify_cycle,
@@ -475,6 +476,19 @@ def test_oracle_diagram_frozen():
     assert jnd_oracle(f2, 0) == D([E(8, 2), E(13, 3)])
     assert jnd_oracle(f2, 1) == D([E(28, 14)])
     assert jnd_oracle(BRANCH_6_8_27, 1) == D([E(64, 32)])
+    # the jacobian of (y, y^2 - x^3) is 3x^2, with no roots: the whole
+    # diagram is the segment of x^2, {2*2 \ 2*1}
+    assert jnd_oracle(CUSP, 0) == D([E(4, 2)])
+
+
+@pytest.mark.parametrize("gens", [(4, 6, 13), (6, 8, 27), (12, 18, 39, 119), (24, 32, 100, 211)])
+def test_measured_family_recovers_the_semigroup(gens):
+    # each diagram is summed root by root from measured contacts, reading no
+    # semigroup value, so the recovery runs the paper's completeness theorem
+    # on the polynomial itself
+    s = Semigroup(gens)
+    f = build_test_branch(s)
+    assert recover_semigroup([jnd_oracle(f, k) for k in range(s.genus)]) == s
 
 
 def test_oracle_accepts_any_maximal_contact_curve():
