@@ -27,7 +27,9 @@ __all__ = [
     "diagram_difference",
 ]
 
-_SVG_GRID_UNITS = 100
+#: both renderers draw a grid, one cell or line per unit, only up to this
+#: many units a side, so their output does not grow with the diagram
+_GRID_UNITS = 100
 
 
 def _frac_or_inf(value, what: str):
@@ -257,6 +259,9 @@ class NewtonDiagram(Value):
         pts = [(int(a), int(b)) for a, b in verts]
         width = max(a for a, _ in pts) + 1
         height = max(b for _, b in pts) + 1
+        if width > _GRID_UNITS or height > _GRID_UNITS:
+            chain = " -> ".join(f"({a}, {b})" for a, b in self.vertices())
+            return f"vertices: {chain}\n(no grid past {_GRID_UNITS} units a side)"
         grid = [["." for _ in range(width)] for _ in range(height)]
         for (a0, b0), (a1, b1) in zip(pts, pts[1:]):
             steps = gcd(a1 - a0, b0 - b1)
@@ -297,9 +302,7 @@ class NewtonDiagram(Value):
             f'viewBox="0 0 {w} {h}">',
             f'<rect width="{w}" height="{h}" fill="white"/>',
         ]
-        # a line per unit would make the file grow with the diagram, so the
-        # grid is drawn only up to _SVG_GRID_UNITS units a side
-        if max_x <= _SVG_GRID_UNITS and max_y <= _SVG_GRID_UNITS:
+        if max_x <= _GRID_UNITS and max_y <= _GRID_UNITS:
             for gx in range(int(max_x) + 1):
                 parts.append(
                     f'<line x1="{sx(gx):.1f}" y1="{sy(0):.1f}" x2="{sx(gx):.1f}" '

@@ -18,7 +18,7 @@ from __future__ import annotations
 from cmath import phase, rect
 from contextlib import nullcontext
 from fractions import Fraction
-from math import ceil, comb, factorial, frexp, gcd, inf, lcm, ldexp, pi
+from math import comb, factorial, frexp, gcd, inf, lcm, ldexp, pi
 
 from ._value import Value, _is_int, _rational
 from .branch import (
@@ -165,14 +165,13 @@ class PuiseuxSeries(Value):
     contact walk reads.
     """
 
-    __slots__ = ("terms", "truncation", "context", "_by_exp", "_den", "_nums")
+    __slots__ = ("terms", "truncation", "context", "_den", "_nums")
 
     def __init__(self, terms, truncation, context=None):
         terms = tuple(sorted(terms, key=lambda t: t[0]))
         exps = [Fraction(e) for e, _ in terms]
         den = lcm(1, *(e.denominator for e in exps))
-        self._set(terms=terms, truncation=truncation, context=context,
-                  _by_exp={e: c for e, c in terms}, _den=den,
+        self._set(terms=terms, truncation=truncation, context=context, _den=den,
                   _nums=tuple([e.numerator * (den // e.denominator) for e in exps]))
 
     @classmethod
@@ -182,8 +181,8 @@ class PuiseuxSeries(Value):
         # is resized into place, and the tuple free lists then keep growing
         terms = tuple([(Fraction(n, den), c) for n, c in tail])
         self = cls.__new__(cls)
-        self._set(terms=terms, truncation=truncation, context=context,
-                  _by_exp=dict(terms), _den=den, _nums=tuple([n for n, _ in tail]))
+        self._set(terms=terms, truncation=truncation, context=context, _den=den,
+                  _nums=tuple([n for n, _ in tail]))
         return self
 
     def _key(self):
@@ -193,7 +192,7 @@ class PuiseuxSeries(Value):
         return tuple(e for e, _ in self.terms)
 
     def coefficient(self, e):
-        return self._by_exp.get(e, 0)
+        return next((c for x, c in self.terms if x == e), 0)
 
     def is_exact_zero(self) -> bool:
         return not self.terms and self.truncation == inf
@@ -808,33 +807,24 @@ def _jacobian_diagram(ord_f, ord_fk, den, alpha, deg_f, deg_fk) -> NewtonDiagram
 class _Decomposition:
     """Merle's polar decomposition of one branch, for each requested index k.
 
-    contact_classes, jnd_oracle and verify_decomposition all read from it.
-    The exact set-up runs once: one Abhyankar-Moh iteration for both the
-    semigroup of f and its characteristic roots, the genus, index and fk
-    checks, and one jacobian determinant per k.  A supplied fk with no
-    index given is a root of the one index whose degree b_0/l_k it has;
-    that degree strictly increases with k.  The numeric work is one worker under
-    _with_escalation: it expands f once at the depth b_g/b_0 + 1 that
-    every k shares and classifies the jacobian roots of each k against
-    those roots.  With profile set, as verify_decomposition asks, the same
-    worker then measures the contacts of each root of f with its
-    conjugates once.  An escalation at any k therefore reruns every k at
-    the next tier.
+    The constructor does the exact set-up once: one Abhyankar-Moh iteration
+    for both the semigroup of f and its characteristic roots, the genus,
+    index and fk checks, one jacobian determinant per k, and the depth
+    b_g/b_0 + 1 that every k shares.  A supplied fk with no index given is
+    a root of the one index whose degree b_0/l_k it has; that degree
+    strictly increases with k.  indices lists the k to decompose, None
+    meaning 0..g-1, or the index of fk when one is supplied.  Per k,
+    roots[k] is the curve of maximal contact and jacobians[k] the jacobian
+    of (roots[k], f).
 
-    indices lists the k to decompose, None meaning 0..g-1, or the index of
-    fk when one is supplied.  Per k, roots[k] is the curve of maximal
-    contact, jacobians[k] the jacobian of (roots[k], f), classes[k] its
-    contact classes, jac_counts[k], for each root of f, the number of
-    jacobian roots with contact at least b_(k+1)/b_0 with it, and
-    diagrams[k] the jacobian Newton diagram measured root by root, which
-    reads neither the semigroup nor the classes.
-    self_contacts holds, for each root of f, its contacts with the other
-    conjugates as integers over self_den; both are None without profile.
+    measure(ctx) is the numeric work at one precision tier.  Each caller
+    runs it under _with_escalation, so an escalation at any k reruns every
+    k at the next tier, with whatever the caller measures beside it.
     Every contact is compared as an integer over a common multiple of b_0
     and the denominators of the series involved.
     """
 
-    def __init__(self, f: BiPoly, indices=None, fk: BiPoly | None = None, profile=False):
+    def __init__(self, f: BiPoly, indices=None, fk: BiPoly | None = None):
         s, char_roots = _am_iteration(f)
         g = s.genus
         if g == 0:
@@ -869,25 +859,18 @@ class _Decomposition:
         self.s = s
         self.exponents = semigroup_to_char(s).exponents
         self.depth = Fraction(self.exponents[-1], self.exponents[0]) + 1
-        self.profile = profile
-        self.classes, self.jac_counts, self.diagrams, self.self_contacts, self.self_den = (
-            _with_escalation(self._measure))
 
-    def _measure(self, ctx):
+    def measure(self, ctx):
+        """Expand f once: its roots sigma and, per k, the (classes,
+        jac_counts, diagram) triple of _classify against them."""
         sigma = _expand_bipoly(ctx, self.f, self.depth)
-        classes, jac_counts, diagrams = {}, {}, {}
-        for k in self.roots:
-            classes[k], jac_counts[k], diagrams[k] = self._classify(ctx, sigma, k)
-        if not self.profile:
-            return classes, jac_counts, diagrams, None, None
-        den = lcm(self.exponents[0], *(sa._den for sa in sigma))
-        self_contacts = _decided_contacts(ctx, sigma, sigma, den, "conjugate roots of f")
-        return classes, jac_counts, diagrams, self_contacts, den
+        return sigma, {k: self._classify(ctx, sigma, k) for k in self.roots}
 
     def _classify(self, ctx, sigma, k):
         """Contact classes of the jacobian roots of index k, their counts at
         contact b_(k+1)/b_0 or more with each root of f, and the diagram of
-        (f_k, f) measured from the same contacts."""
+        (f_k, f) measured root by root from the same contacts, which reads
+        neither the semigroup nor the classes."""
         s, b = self.s, self.exponents
         b0 = b[0]
         alpha, j1 = self.jacobians[k].x_content()
@@ -947,7 +930,8 @@ class _Decomposition:
 
 def contact_classes(f: BiPoly, k: int, fk: BiPoly | None = None):
     """Decompose the jacobian of (k-th root, f) by contact with the branch."""
-    return _Decomposition(f, [k], fk).classes[k]
+    _, measured = _with_escalation(_Decomposition(f, [k], fk).measure)
+    return measured[k][0]
 
 
 def jnd_oracle(f: BiPoly, k: int, fk: BiPoly | None = None) -> NewtonDiagram:
@@ -958,7 +942,8 @@ def jnd_oracle(f: BiPoly, k: int, fk: BiPoly | None = None) -> NewtonDiagram:
     of its contacts with the roots of f and of f_k; the factor x^alpha of
     the jacobian contributes {alpha*deg_y f \\ alpha*deg_y f_k}.
     """
-    return _Decomposition(f, [k], fk).diagrams[k]
+    _, measured = _with_escalation(_Decomposition(f, [k], fk).measure)
+    return measured[k][2]
 
 
 def verify_cycle(f: BiPoly, depth=None):
@@ -999,75 +984,68 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
     Runs, for each index (or the one given): the measured diagram, the
     conjugate-contact profile of f, the jacobian contact counts, the class
     sizes, both diagram totals, and the exact totals I(J_k, f) and
-    I(J_k, f_k).  The exact totals come from intersection_multiplicity,
-    which reads them off the expansion in the characteristic roots of the
-    branch just certified; only a supplied fk that is none of those roots
-    takes the resultant.  A supplied fk without k is checked at the one
-    index whose degree b_0/l_k it has.  Returns the full report; raises
-    VerificationError on any failure.
+    I(J_k, f_k).  One numeric attempt per tier measures every index and
+    the contacts between conjugate roots of f, so an escalation anywhere
+    reruns all of it.  The profile of a root is the sorted list of its
+    contacts with the other conjugates above b_(k+1)/b_0, which must be
+    b_j/b_0 repeated l_(j-1) - l_j times for j = k+2..g; the class sizes
+    are the root counts of the deep classes, one per such j.  The exact
+    totals come from intersection_multiplicity, which reads them off the
+    expansion in the characteristic roots of the branch just certified;
+    only a supplied fk that is none of those roots takes the resultant.  A
+    supplied fk without k is checked at the one index whose degree b_0/l_k
+    it has.  Returns the full report; raises VerificationError on any
+    failure.
     """
-    dec = _Decomposition(f, None if k is None else [k], fk, profile=True)
+    dec = _Decomposition(f, None if k is None else [k], fk)
     s = dec.s
     b = dec.exponents
     b0 = b[0]
     g = s.genus
     l = s.gcds
     n = s.n_factors
+
+    def worker(ctx):
+        sigma, measured = dec.measure(ctx)
+        den = lcm(b0, *(sa._den for sa in sigma))
+        return measured, den, _decided_contacts(ctx, sigma, sigma, den, "conjugate roots of f")
+
+    measured, den, conjugates = _with_escalation(worker)
+    unit = den // b0
     report = []
 
     def check(name, ok, detail=""):
         report.append((name, bool(ok), detail))
 
-    for kk, classes in dec.classes.items():
+    def fractions(nums):
+        return "[" + ", ".join(str(_ratio(v, den)) for v in nums) + "]"
+
+    for kk, (classes, jac_counts, diagram) in measured.items():
         tag = f"k={kk}"
         predicted = jnd_formula(s, kk)
-        measured = dec.diagrams[kk]
-        check(f"{tag}: oracle diagram matches formula", measured == predicted,
-              f"{measured} vs {predicted}")
+        check(f"{tag}: oracle diagram matches formula", diagram == predicted,
+              f"{diagram} vs {predicted}")
 
-        # conjugate roots of f: past each characteristic value the number of
-        # agreeing conjugates is the gcd level, independent of the root
-        profile_ok = True
-        detail = ""
-        samples = []
-        for j in range(kk + 1, g + 1):
-            low = Fraction(b[j], b0)
-            high = Fraction(b[j + 1], b0) if j < g else low + 1
-            samples.append(((low + high) / 2, l[j] - 1))
-            if j < g:
-                samples.append((Fraction(b[j + 1], b0), l[j] - 1))
-        for tau, expected in samples:
-            limit = ceil(tau * dec.self_den)
-            for row in dec.self_contacts:
-                got = sum(1 for v in row if v >= limit)
-                if got != expected:
-                    profile_ok = False
-                    detail = f"at contact {tau}: {got} conjugates, expected {expected}"
-                    break
-            if not profile_ok:
-                break
-        check(f"{tag}: conjugate contact profile", profile_ok, detail)
+        # a conjugate contact of a branch is a characteristic exponent b_j/b_0,
+        # shared with l_(j-1) - l_j conjugates whichever the root
+        expected_profile = [b[j] * unit for j in range(kk + 2, g + 1)
+                            for _ in range(l[j - 1] - l[j])]
+        profiles = [sorted(v for v in row if v > b[kk + 1] * unit) for row in conjugates]
+        wrong = next((p for p in profiles if p != expected_profile), None)
+        check(f"{tag}: conjugate contact profile", wrong is None,
+              "" if wrong is None else f"{fractions(wrong)} vs {fractions(expected_profile)}")
 
         expected_jac = n[kk] * (l[kk + 1] - 1)
         check(
             f"{tag}: jacobian roots at deep contact",
-            all(c == expected_jac for c in dec.jac_counts[kk]),
-            f"{sorted(set(dec.jac_counts[kk]))} vs {expected_jac}",
+            all(c == expected_jac for c in jac_counts),
+            f"{sorted(set(jac_counts))} vs {expected_jac}",
         )
 
-        sizes_ok = True
-        detail = ""
-        for cls in classes[1:]:
-            i = b.index(cls.contact * b0)
-            expected_size = (b0 // l[i - 1]) * (n[i - 1] - 1)
-            if cls.x_intersection != expected_size:
-                sizes_ok = False
-                detail = (
-                    f"class at contact {cls.contact}: {cls.x_intersection} roots, "
-                    f"expected {expected_size}"
-                )
-                break
-        check(f"{tag}: class sizes", sizes_ok, detail)
+        sizes = [cls.x_intersection for cls in classes[1:]]
+        expected_sizes = [(b0 // l[i - 1]) * (n[i - 1] - 1) for i in range(kk + 2, g + 1)]
+        check(f"{tag}: class sizes", sizes == expected_sizes,
+              "" if sizes == expected_sizes else f"{sizes} vs {expected_sizes}")
 
         zeros_deep = any(
             any(r.is_exact_zero() for r in cls.roots) for cls in classes[1:]

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import time
 from decimal import Decimal
 from fractions import Fraction
 from math import inf
@@ -14,10 +15,12 @@ from planebranch import (
     BiPoly,
     ElementarySegment,
     NewtonDiagram,
+    Semigroup,
     ValidationError,
     diagram_difference,
     diagram_from_support,
     diagram_of,
+    jnd_formula,
     minkowski_sum,
     parse_poly,
 )
@@ -223,6 +226,18 @@ def test_render_ascii_and_svg():
     assert d.render("svg") == svg
     with pytest.raises(ValidationError):
         d.render("bogus")
+
+
+def test_render_ascii_size_does_not_grow_with_the_generators():
+    # a cell per unit made <2, 501> a 1,009,017-character grid; past 100
+    # units a side only the vertex chain is printed
+    start = time.perf_counter()
+    art = jnd_formula(Semigroup((2, 2000000001)), 0).render_ascii()
+    assert time.perf_counter() - start < 1 and len(art) < 1000
+    assert art.startswith("vertices: (0, 2000000000) -> (4000000000, 0)\n")
+    # fractional vertices count after scaling: (1/2, 0) makes the height 400
+    art = NewtonDiagram([E("1/2", 200)]).render_ascii()
+    assert art.startswith("vertices: (0, 200) -> (1/2, 0)\n")
 
 
 def test_scaled():

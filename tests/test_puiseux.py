@@ -33,7 +33,7 @@ from planebranch import (
 from planebranch.fixtures import BRANCH_4_6_13, BRANCH_6_8_27, BRANCH_6_8_27_VARIANT
 import planebranch.poly as poly
 import planebranch.puiseux as puiseux
-from planebranch.puiseux import PuiseuxSeries, _Decomposition
+from planebranch.puiseux import PuiseuxSeries
 
 from oracles import expand_by_fractions
 
@@ -572,10 +572,26 @@ def test_verify_decomposition_rejects_root_of_no_index():
         verify_decomposition(BRANCH_4_6_13, fk=parse_poly("y^3-x^5"))
 
 
-def test_only_the_verifier_measures_the_conjugate_profile():
-    assert _Decomposition(BRANCH_4_6_13, [0]).self_contacts is None
-    rows = _Decomposition(BRANCH_4_6_13, [0], profile=True).self_contacts
-    assert len(rows) == 4 and all(len(row) == 3 for row in rows)
+def test_only_the_verifier_measures_the_conjugate_profile(monkeypatch):
+    # every k shares one attempt, so the verifier measures the conjugates
+    # of f once per call; the other entry points never measure them
+    shapes, decided_contacts = [], puiseux._decided_contacts
+
+    def counted(ctx, rows, cols, den, what):
+        matrix = decided_contacts(ctx, rows, cols, den, what)
+        if what == "conjugate roots of f":
+            shapes.append([len(row) for row in matrix])
+        return matrix
+
+    monkeypatch.setattr(puiseux, "_decided_contacts", counted)
+    for k in (0, 1):
+        contact_classes(BRANCH_4_6_13, k)
+        jnd_oracle(BRANCH_4_6_13, k)
+    assert shapes == []
+    verify_decomposition(BRANCH_4_6_13)
+    assert shapes == [[3, 3, 3, 3]]
+    verify_decomposition(BRANCH_4_6_13, 1)
+    assert shapes == [[3, 3, 3, 3]] * 2
 
 
 def test_decomposition_runs_the_am_iteration_once(monkeypatch):
@@ -596,6 +612,45 @@ def test_verify_decomposition_raises_on_a_failed_check(monkeypatch):
     with pytest.raises(VerificationError,
                        match="decomposition checks failed: k=0: oracle diagram matches formula"):
         verify_decomposition(BRANCH_4_6_13)
+
+
+def test_verify_decomposition_reports_a_wrong_conjugate_profile(monkeypatch):
+    # <4, 6, 13>: each root meets two conjugates at 3/2 and one at 7/4;
+    # one contact moved from 7/4 to 2 breaks the profile at both k
+    decided_contacts = puiseux._decided_contacts
+
+    def shifted(ctx, rows, cols, den, what):
+        matrix = decided_contacts(ctx, rows, cols, den, what)
+        if what == "conjugate roots of f":
+            row = matrix[0]
+            row[row.index(max(row))] += den // 4
+        return matrix
+
+    monkeypatch.setattr(puiseux, "_decided_contacts", shifted)
+    with pytest.raises(VerificationError) as exc:
+        verify_decomposition(BRANCH_4_6_13)
+    assert str(exc.value) == (
+        "decomposition checks failed: k=0: conjugate contact profile ([2] vs [7/4]); "
+        "k=1: conjugate contact profile ([2] vs [])")
+
+
+def test_verify_decomposition_reports_a_wrong_class_size(monkeypatch):
+    # <6, 8, 27> at k=0 has one deep class, of 3 roots; drop one of them
+    measure = puiseux._Decomposition.measure
+
+    def dropped(self, ctx):
+        sigma, measured = measure(self, ctx)
+        classes, jac_counts, diagram = measured[0]
+        c = classes[-1]
+        short = puiseux.ContactClass(c.index, c.contact, c.roots[1:], c.x_power,
+                                     c.f_intersection, c.fk_intersection)
+        measured[0] = (classes[:-1] + [short], jac_counts, diagram)
+        return sigma, measured
+
+    monkeypatch.setattr(puiseux._Decomposition, "measure", dropped)
+    with pytest.raises(VerificationError,
+                       match=r"checks failed: k=0: class sizes \(\[2\] vs \[3\]\)$"):
+        verify_decomposition(BRANCH_6_8_27)
 
 
 def test_verify_decomposition_rejects_smooth():
