@@ -20,7 +20,7 @@ def _rational(value, what: str, allowed: str) -> Fraction:
         raise ValidationError(f"{what} must be {allowed}, got {type(value).__name__} {value!r}")
     try:
         return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValidationError(f"{what} must be {allowed}, got {value!r}") from exc
 
 

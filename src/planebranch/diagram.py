@@ -32,11 +32,20 @@ __all__ = [
 _GRID_UNITS = 100
 
 
-def _frac_or_inf(value, what: str):
-    if value == inf:
-        return inf
-    v = _rational(value, what, "rational or inf")
-    if v.numerator <= 0:
+def _exact(value, what: str, allowed: str):
+    """value by the rule of _rational, as an int when it is integral and a
+    Fraction otherwise."""
+    if type(value) is int:
+        return value
+    v = _rational(value, what, allowed)
+    return v.numerator if v.denominator == 1 else v
+
+
+def _side(value, what: str):
+    """A segment side: positive by the rule of _exact, or the float inf for
+    any value equal to inf."""
+    v = inf if type(value) is not int and value == inf else _exact(value, what, "rational or inf")
+    if v <= 0:
         raise ValidationError(f"{what} must be positive, got {value!r}")
     return v
 
@@ -46,17 +55,18 @@ class ElementarySegment(Value):
 
     The length is the horizontal extent and the height the vertical extent of
     the single compact face.  At most one of the two is infinite.  A side is
-    a float exactly when it is infinite (the float inf), and a Fraction
-    otherwise, so isinstance(side, float) tells an infinite side.  The
-    inclination, length over height, is fixed at construction: 0 for a pure
-    x shift, inf for a pure y shift.
+    a float exactly when it is infinite (the float inf); a finite side is an
+    int when it is integral and a Fraction otherwise, so "26/2" is stored as
+    13 and isinstance(side, float) tells an infinite side.  The inclination,
+    length over height, is fixed at construction and is always a Fraction
+    for a finite segment: 0 for a pure x shift, inf for a pure y shift.
     """
 
     __slots__ = ("length", "height", "inclination")
 
     def __init__(self, length, height):
-        length = _frac_or_inf(length, "segment length")
-        height = _frac_or_inf(height, "segment height")
+        length = _side(length, "segment length")
+        height = _side(height, "segment height")
         if isinstance(height, float):
             if isinstance(length, float):
                 raise ValidationError("segment cannot be infinite in both directions")
@@ -64,7 +74,7 @@ class ElementarySegment(Value):
         elif isinstance(length, float):
             inclination = inf
         else:
-            inclination = length / height
+            inclination = Fraction(length, height)
         self._set(length=length, height=height, inclination=inclination)
 
     def scaled(self, factor) -> "ElementarySegment":
@@ -124,25 +134,39 @@ class NewtonDiagram(Value):
 
     Segments are kept sorted by strictly increasing inclination; summands
     with equal inclination are merged componentwise.  Infinite segments
-    passed to the constructor are folded into the shift.
+    passed to the constructor are folded into the shift.  Each segment is an
+    ElementarySegment or a (length, height) pair, and the shift is an (x, y)
+    pair; its coordinates are stored like finite segment sides.
     """
 
     __slots__ = ("shift", "segments")
 
     def __init__(self, segments=(), shift=(0, 0)):
-        sx, sy = shift
-        sx = _rational(sx, "diagram shift", "rational")
-        sy = _rational(sy, "diagram shift", "rational")
-        if sx.numerator < 0 or sy.numerator < 0:
+        if not (isinstance(shift, (list, tuple)) and len(shift) == 2):
+            raise ValidationError("diagram shift must be a pair")
+        try:
+            entries = iter(segments)
+        except TypeError as exc:
+            raise ValidationError("diagram segments must be a list") from exc
+        segments = tuple(entries)
+        for seg in segments:
+            if not (isinstance(seg, ElementarySegment)
+                    or isinstance(seg, (list, tuple)) and len(seg) == 2):
+                raise ValidationError(f"segment entry must be a pair, got {seg!r}")
+        sx = _exact(shift[0], "diagram shift", "rational")
+        sy = _exact(shift[1], "diagram shift", "rational")
+        if sx < 0 or sy < 0:
             raise ValidationError(f"diagram shift must be nonnegative, got ({sx}, {sy})")
         finite = []
         for seg in segments:
             if not isinstance(seg, ElementarySegment):
                 seg = ElementarySegment(*seg)
+            # a sum of Fractions can be integral, so each folded coordinate is
+            # stored by the same rule again
             if isinstance(seg.height, float):
-                sx += seg.length
+                sx = _exact(sx + seg.length, "diagram shift", "rational")
             elif isinstance(seg.length, float):
-                sy += seg.height
+                sy = _exact(sy + seg.height, "diagram shift", "rational")
             else:
                 finite.append(seg)
         finite.sort(key=lambda s: s.inclination)
@@ -156,13 +180,13 @@ class NewtonDiagram(Value):
 
     # -- inspection -----------------------------------------------------
 
-    def total_length(self) -> Fraction:
+    def total_length(self):
         """Horizontal extent of the compact faces (the shift not included)."""
-        return sum((s.length for s in self.segments), Fraction(0))
+        return sum(s.length for s in self.segments)
 
-    def total_height(self) -> Fraction:
+    def total_height(self):
         """Vertical extent of the compact faces (the shift not included)."""
-        return sum((s.height for s in self.segments), Fraction(0))
+        return sum(s.height for s in self.segments)
 
     def vertices(self):
         """Vertex coordinates from the top-left end down to the bottom-right."""
@@ -234,17 +258,16 @@ class NewtonDiagram(Value):
     def from_json_dict(cls, data) -> "NewtonDiagram":
         if not isinstance(data, dict):
             raise ValidationError("diagram JSON must be an object")
-        shift = data.get("shift", [0, 0])
-        if not (isinstance(shift, (list, tuple)) and len(shift) == 2):
-            raise ValidationError("diagram shift must be a pair")
         raw = data.get("segments", [])
-        if not isinstance(raw, (list, tuple)):
-            raise ValidationError("diagram segments must be a list")
-        for entry in raw:
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-                raise ValidationError(f"segment entry must be a pair, got {entry!r}")
-        # the constructor checks every number; JSON spells inf as a string
-        return cls([[inf if v == "inf" else v for v in entry] for entry in raw], shift)
+        # JSON spells inf as a string.  The constructor checks the shape and
+        # every number; a segments value that is not a list reaches it as
+        # None, which it refuses with the same message
+        segments = None
+        if isinstance(raw, (list, tuple)):
+            segments = [[inf if v == "inf" else v for v in entry]
+                        if isinstance(entry, (list, tuple)) and len(entry) == 2 else entry
+                        for entry in raw]
+        return cls(segments, data.get("shift", [0, 0]))
 
     # -- rendering ----------------------------------------------------------
 
@@ -345,8 +368,9 @@ class NewtonDiagram(Value):
 
 
 def diagram_from_support(points) -> NewtonDiagram:
-    """Diagram of any polynomial with the given support."""
-    hull = lower_hull([(Fraction(a), Fraction(b)) for a, b in points])
+    """Diagram of any polynomial with the given support: (int, int) pairs,
+    or pairs of Fractions, as lower_hull takes them."""
+    hull = lower_hull(points)
     shift = (hull[0][0], hull[-1][1])
     segments = []
     for (a0, b0), (a1, b1) in zip(hull, hull[1:]):

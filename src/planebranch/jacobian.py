@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._value import Value, _is_int
-from .branch import Semigroup, approximate_root_semigroup
+from .branch import Semigroup
 from .diagram import ElementarySegment, NewtonDiagram
 from .errors import ValidationError
 
@@ -31,9 +31,15 @@ __all__ = [
 ]
 
 
-def _check_index(s: Semigroup, k: int):
+def _check_semigroup(s):
+    if not isinstance(s, Semigroup):
+        raise ValidationError(f"expected a Semigroup, got {s!r}")
     if s.genus == 0:
         raise ValidationError("a smooth branch has no approximate jacobian diagrams")
+
+
+def _check_index(s: Semigroup, k: int):
+    _check_semigroup(s)
     if not _is_int(k) or not 0 <= k <= s.genus - 1:
         raise ValidationError(f"diagram index must lie in 0..{s.genus - 1}, got {k!r}")
 
@@ -52,7 +58,9 @@ def jnd_formula(s: Semigroup, k: int) -> NewtonDiagram:
     n = s.n_factors
     g = s.genus
     m_bar = v[k + 1] // l[k + 1]
-    mu_k = approximate_root_semigroup(s, k).milnor()
+    # the Milnor number of the k-th approximate root, whose semigroup is
+    # v_0 / l_k, ..., v_k / l_k: Semigroup.milnor on those generators
+    mu_k = (sum((n[q - 1] - 1) * v[q] for q in range(1, k + 1)) - v[0]) // l[k] + 1
     lead_height = mu_k + m_bar - 1
     segments = [ElementarySegment(l[k] * lead_height, lead_height)]
     cofactor = m_bar
@@ -71,13 +79,28 @@ def jacobian_invariants(s: Semigroup, k: int) -> tuple:
     return tuple(seg.inclination for seg in jnd_formula(s, k).segments)
 
 
+def _diagram_tuple(entries, message: str) -> tuple:
+    """entries, any iterable of NewtonDiagram objects, as a tuple; a
+    ValidationError with the given message for anything else."""
+    try:
+        it = iter(entries)
+    except TypeError as exc:
+        raise ValidationError(message) from exc
+    out = tuple(it)
+    if not all(isinstance(d, NewtonDiagram) for d in out):
+        raise ValidationError(message)
+    return out
+
+
 class JndFamily(Value):
     """All approximate jacobian Newton diagrams of one branch, indexed by k."""
 
     __slots__ = ("semigroup", "diagrams")
 
     def __init__(self, semigroup: Semigroup, diagrams):
-        diagrams = tuple(diagrams)
+        if not isinstance(semigroup, Semigroup):
+            raise ValidationError(f"expected a Semigroup, got {semigroup!r}")
+        diagrams = _diagram_tuple(diagrams, "family diagrams must be NewtonDiagram objects")
         if len(diagrams) != semigroup.genus:
             raise ValidationError(
                 f"family of a genus {semigroup.genus} branch needs "
@@ -116,8 +139,7 @@ class JndFamily(Value):
 
 def jnd_family(s: Semigroup) -> JndFamily:
     """The full family of approximate jacobian Newton diagrams of a branch."""
-    if s.genus == 0:
-        raise ValidationError("a smooth branch has no approximate jacobian diagrams")
+    _check_semigroup(s)
     return JndFamily(s, (jnd_formula(s, k) for k in range(s.genus)))
 
 
@@ -178,17 +200,6 @@ class RecoveryData(Value):
         return "\n".join(self.readings)
 
 
-def _as_diagrams(family):
-    out = []
-    for d in family:
-        if not isinstance(d, NewtonDiagram):
-            raise ValidationError("recovery expects NewtonDiagram objects")
-        out.append(d)
-    if not out:
-        raise ValidationError("recovery needs at least one diagram")
-    return out
-
-
 def _exact_int(value: Fraction, what: str) -> int:
     if value.denominator != 1:
         raise ValidationError(f"{what} must be an integer, got {value}")
@@ -203,11 +214,13 @@ def recovery_data(family) -> RecoveryData:
     release the generators one by one.  The result is certified by running
     the closed formula forward and comparing every diagram.
     """
-    diagrams = _as_diagrams(family)
+    diagrams = _diagram_tuple(family, "recovery expects NewtonDiagram objects")
+    if not diagrams:
+        raise ValidationError("recovery needs at least one diagram")
     g = len(diagrams)
     readings = []
     for k, d in enumerate(diagrams):
-        if d.shift != (Fraction(0), Fraction(0)):
+        if d.shift != (0, 0):
             raise ValidationError(f"diagram k={k} has a monomial factor; not a jacobian family")
         if not d.segments:
             raise ValidationError(f"diagram k={k} is empty")
@@ -234,13 +247,14 @@ def recovery_data(family) -> RecoveryData:
         readings.append(f"last gcd level {iota_int} = inclination of diagram k={g - 1}")
         for r in range(g - 1):
             h = diagrams[r].segments[-1].height
-            v = _exact_int(h * iota_int / (iota_int - 1), f"generator read from diagram k={r}")
+            v = _exact_int(Fraction(h * iota_int, iota_int - 1),
+                           f"generator read from diagram k={r}")
             gens.append(v)
             readings.append(
                 f"generator {v} = {iota_int}/{iota_int - 1} * final height of diagram k={r}"
             )
         tail = diagrams[g - 2].segments[-1].length
-        v_g = _exact_int(tail / (iota_int - 1), "last generator")
+        v_g = _exact_int(Fraction(tail, iota_int - 1), "last generator")
         gens.append(v_g)
         readings.append(
             f"generator {v_g} = final length of diagram k={g - 2} / {iota_int - 1}"

@@ -5,6 +5,7 @@ resultant goes through evaluated Sylvester determinants plus Lagrange
 interpolation, the hull through support-direction minimisation, the
 Milnor number through brute-force gap counting in the semigroup, the
 polar invariants through their closed formula on the generators, the
+approximate jacobian diagrams through their formula in Fractions, the
 approximate roots through the p-th power of each partial root,
 products, powers and jacobians through one Fraction operation per pair of
 terms, where the library works on integer numerators.  The Abhyankar-Moh
@@ -178,6 +179,31 @@ def polar_invariants(generators, k):
     for i in range(k + 2, len(v)):
         out.append(Fraction(l[i - 1] * v[i], v[k + 1]))
     return tuple(out)
+
+
+def jnd_by_fractions(generators, k):
+    """Segments (length, height) of the k-th approximate jacobian diagram.
+
+    Written from the formula in Fractions, without the library: the leading
+    segment has inclination l_k and height mu_k + v_(k+1)/l_(k+1) - 1, where
+    mu_k is the conductor of the root semigroup v_0/l_k, ..., v_k/l_k; each
+    deeper index i = k+2..g adds a segment of height
+    (n_i - 1) v_(k+1) / l_(i-1) and inclination l_(i-1) v_i / v_(k+1), where
+    n_i = l_(i-1) / l_i.
+    """
+    v = list(generators)
+    l = [v[0]]
+    for gen in v[1:]:
+        l.append(math.gcd(l[-1], gen))
+    n = [None] + [Fraction(l[q - 1], l[q]) for q in range(1, len(v))]
+    mu_k = sum((n[q] - 1) * Fraction(v[q], l[k]) for q in range(1, k + 1))
+    mu_k += 1 - Fraction(v[0], l[k])
+    height = mu_k + Fraction(v[k + 1], l[k + 1]) - 1
+    out = [(l[k] * height, height)]
+    for i in range(k + 2, len(v)):
+        height = (n[i] - 1) * Fraction(v[k + 1], l[i - 1])
+        out.append((Fraction(l[i - 1] * v[i], v[k + 1]) * height, height))
+    return out
 
 
 def approximate_root_by_powers(f: BiPoly, p: int) -> BiPoly:

@@ -296,6 +296,21 @@ def test_recover_missing_file(capsys, tmp_path):
     assert code == 1 and "not valid JSON" in err
 
 
+def test_recover_quotes_a_bad_side_as_given(capsys, tmp_path):
+    payload = tmp_path / "family.json"
+    payload.write_text('{"diagrams":[{"k":0,"segments":[["-1/2",3]]}]}')
+    code, out, err = run(capsys, "recover", "--family", str(payload))
+    assert (code, out, err) == (1, "", "error: segment length must be positive, got '-1/2'\n")
+
+
+def test_recover_reads_reducible_fractions(capsys, tmp_path):
+    payload = tmp_path / "family.json"
+    payload.write_text('{"diagrams":[{"k":0,"segments":[["16/2","4/2"],["26/2","6/2"]]},'
+                       '{"k":1,"segments":[["56/2","28/2"]]}]}')
+    code, out, err = run(capsys, "recover", "--family", str(payload))
+    assert (code, out, err) == (0, "4,6,13\n", "")
+
+
 def test_recover_file_not_utf8(capsys, tmp_path):
     bad = tmp_path / "family.json"
     bad.write_bytes(b"\xff\xfe{}")

@@ -50,6 +50,51 @@ def test_segment_validation():
         E(True, 1)
 
 
+def test_segment_error_quotes_the_argument_as_given():
+    with pytest.raises(ValidationError) as info:
+        E("-1/2", 1)
+    assert str(info.value) == "segment length must be positive, got '-1/2'"
+    with pytest.raises(ValidationError) as info:
+        E(1, Fraction(-1, 2))
+    assert str(info.value) == "segment height must be positive, got Fraction(-1, 2)"
+    with pytest.raises(ValidationError) as info:
+        NewtonDiagram([], ("-1/2", 0))
+    assert str(info.value) == "diagram shift must be nonnegative, got (-1/2, 0)"
+
+
+def test_integral_sides_are_stored_as_ints():
+    reduced, plain = E("26/2", Fraction(6, 2)), E(13, 3)
+    assert reduced == plain and hash(reduced) == hash(plain)
+    for seg in (reduced, plain):
+        assert type(seg.length) is int and type(seg.height) is int
+        assert seg.inclination == Fraction(13, 3) and type(seg.inclination) is Fraction
+    assert type(E(8, 2).inclination) is Fraction
+    half = E("13/2", 3)
+    assert type(half.length) is Fraction and type(half.scaled(2).length) is int
+    # a folded shift that sums to an integer is stored as one
+    d = NewtonDiagram([E(Fraction(1, 2), inf)], (Fraction(1, 2), "4/2"))
+    assert d.shift == (1, 2) and all(type(c) is int for c in d.shift)
+    d = diagram_from_support([(2, 3), (5, 1), (9, 0)])
+    assert all(type(c) is int for c in d.shift)
+    assert all(type(side) is int for seg in d.segments for side in (seg.length, seg.height))
+
+
+def test_malformed_diagram_arguments_are_typed_errors():
+    cases = [
+        (lambda: NewtonDiagram([(1, 2, 3)]), "segment entry must be a pair, got (1, 2, 3)"),
+        (lambda: NewtonDiagram([5]), "segment entry must be a pair, got 5"),
+        (lambda: NewtonDiagram([], (1, 2, 3)), "diagram shift must be a pair"),
+        (lambda: NewtonDiagram([], 5), "diagram shift must be a pair"),
+        (lambda: NewtonDiagram(None), "diagram segments must be a list"),
+        (lambda: NewtonDiagram([], (Decimal("Infinity"), 0)),
+         "diagram shift must be rational, got Decimal('Infinity')"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == message
+
+
 @pytest.mark.parametrize(
     "spelling",
     [inf, float("inf"), Decimal("Infinity"), numpy.float64("inf")],

@@ -1,11 +1,12 @@
 """Closed formula for the diagram family, invariants, recovery."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import polar_invariants
+from oracles import jnd_by_fractions, polar_invariants
 from planebranch import (
     ElementarySegment,
     JndFamily,
@@ -194,3 +195,59 @@ def test_family_container():
     assert fam[0] == jnd_formula(Semigroup((4, 6, 13)), 0)
     assert list(fam) == list(fam.diagrams)
     assert "k=0" in str(fam) and "semigroup <4, 6, 13>" in str(fam)
+
+
+def _stored(value):
+    """A finite side or shift as the diagram layer stores it: an int when
+    integral, a Fraction otherwise."""
+    return type(value) is (int if value.denominator == 1 else Fraction)
+
+
+def _json_number(value):
+    return value.numerator if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+
+
+def test_family_matches_the_fraction_reference():
+    # text, JSON and recovery of the closed formula against the formula
+    # written in Fractions in tests/oracles.py
+    rng = random.Random(1)
+    for _ in range(1000):
+        s = random_semigroup(rng, max_genus=5, max_generator=10**4)
+        gens = s.generators
+        ref = [jnd_by_fractions(gens, k) for k in range(s.genus)]
+        text = [f"semigroup <{', '.join(map(str, gens))}>"]
+        text += [f"k={k}: " + " + ".join(f"{{{a}\\{b}}}" for a, b in segs)
+                 for k, segs in enumerate(ref)]
+        data = {"semigroup": list(gens),
+                "diagrams": [{"k": k, "segments": [[_json_number(a), _json_number(b)]
+                                                   for a, b in segs]}
+                             for k, segs in enumerate(ref)]}
+        fam = jnd_family(s)
+        assert str(fam) == "\n".join(text)
+        assert json.dumps(fam.to_json_dict()) == json.dumps(data)
+        _, parsed = family_from_json_dict(json.loads(json.dumps(data)))
+        assert recover_semigroup(parsed) == s
+        for d in (*fam, *parsed, *(d.scaled(Fraction(1, 3)) for d in fam)):
+            assert all(_stored(c) for c in d.shift)
+            for seg in d.segments:
+                assert _stored(seg.length) and _stored(seg.height)
+                assert type(seg.inclination) is Fraction
+
+
+def test_malformed_family_arguments_are_typed_errors():
+    cases = [
+        (lambda: jnd_formula((2, 3), 0), "expected a Semigroup, got (2, 3)"),
+        (lambda: jacobian_invariants([2, 3], 0), "expected a Semigroup, got [2, 3]"),
+        (lambda: jnd_family([4, 6, 13]), "expected a Semigroup, got [4, 6, 13]"),
+        (lambda: JndFamily((2, 3), []), "expected a Semigroup, got (2, 3)"),
+        (lambda: JndFamily(Semigroup((4, 6, 13)), 5),
+         "family diagrams must be NewtonDiagram objects"),
+        (lambda: JndFamily(Semigroup((2, 3)), [[(1, 1)]]),
+         "family diagrams must be NewtonDiagram objects"),
+        (lambda: recovery_data(5), "recovery expects NewtonDiagram objects"),
+        (lambda: recovery_data([[(28, 14)]]), "recovery expects NewtonDiagram objects"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == message

@@ -110,6 +110,30 @@ def test_values_copy_and_pickle(cls):
             setattr(twin, cls.__slots__[0], None)
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        ElementarySegment(13, 3),
+        ElementarySegment(Fraction(13, 2), "3/4"),
+        NewtonDiagram([(8, 2), (13, 3)], (1, 0)),
+        NewtonDiagram([("7/2", 2), (13, Fraction(1, 3))], (Fraction(1, 2), "2/4")),
+    ],
+    ids=["int segment", "rational segment", "int diagram", "rational diagram"],
+)
+def test_sides_keep_their_types_through_copy_and_pickle(value):
+    def sides(v):
+        segs = v.segments if isinstance(v, NewtonDiagram) else (v,)
+        out = [(s.length, s.height, s.inclination) for s in segs]
+        return out + [v.shift] if isinstance(v, NewtonDiagram) else out
+
+    def types(v):
+        return [tuple(map(type, entry)) for entry in sides(v)]
+
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value and hash(twin) == hash(value)
+        assert sides(twin) == sides(value) and types(twin) == types(value)
+
+
 def test_types_must_match_exactly():
     assert CharSequence((2, 3)) != Semigroup((2, 3))
     assert Semigroup((2, 3)) != CharSequence((2, 3))
