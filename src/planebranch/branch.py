@@ -60,14 +60,16 @@ class _GcdChain(Value):
     decrease strictly to 1.
 
     The first entry is the multiplicity and g the genus; a single entry
-    must be 1, the smooth branch.
+    must be 1, the smooth branch.  n_factors holds the ramification drops
+    n_q = l_{q-1} / l_q, one per entry past the first.
     """
 
-    __slots__ = ("gcds",)
+    __slots__ = ("gcds", "n_factors")
 
     @staticmethod
     def _validate(values, what: str, smooth: str):
-        """The values as a tuple of ints and their gcd chain, once both check out."""
+        """The values as a tuple of ints, their gcd chain and its n_factors,
+        once all check out."""
         values = _check_positive_ints(values, what)
         chain = _gcd_chain(values)
         if chain[-1] != 1:
@@ -77,7 +79,7 @@ class _GcdChain(Value):
                 raise ValidationError(f"gcd chain must decrease strictly, got {chain}")
         if len(values) == 1 and values[0] != 1:
             raise ValidationError(smooth)
-        return values, chain
+        return values, chain, tuple(a // b for a, b in zip(chain, chain[1:]))
 
     @property
     def multiplicity(self) -> int:
@@ -86,11 +88,6 @@ class _GcdChain(Value):
     @property
     def genus(self) -> int:
         return len(self.gcds) - 1
-
-    @property
-    def n_factors(self) -> tuple:
-        """Ramification drops n_q = l_{q-1} / l_q, one per entry past the first."""
-        return tuple(a // b for a, b in zip(self.gcds, self.gcds[1:]))
 
 
 class CharSequence(_GcdChain):
@@ -103,12 +100,12 @@ class CharSequence(_GcdChain):
     __slots__ = ("exponents",)
 
     def __init__(self, exponents):
-        exponents, chain = self._validate(exponents, "characteristic exponents",
-                                          "a sequence without further exponents must be (1)")
+        exponents, chain, n = self._validate(exponents, "characteristic exponents",
+                                             "a sequence without further exponents must be (1)")
         for prev, cur in zip(exponents, exponents[1:]):
             if cur <= prev:
                 raise ValidationError(f"exponents must increase strictly: {prev} !< {cur}")
-        self._set(exponents=exponents, gcds=chain)
+        self._set(exponents=exponents, gcds=chain, n_factors=n)
 
     def _key(self):
         return self.exponents
@@ -133,19 +130,18 @@ class Semigroup(_GcdChain):
     __slots__ = ("generators",)
 
     def __init__(self, generators):
-        generators, chain = self._validate(generators, "semigroup generators",
-                                           "a semigroup without extra generators must be (1,)")
+        generators, chain, n = self._validate(generators, "semigroup generators",
+                                              "a semigroup without extra generators must be (1,)")
         if len(generators) > 1 and generators[1] <= generators[0]:
             raise ValidationError(
                 f"second generator must exceed the multiplicity, got {generators[:2]}"
             )
         for q in range(1, len(generators) - 1):
-            n_q = chain[q - 1] // chain[q]
-            if generators[q + 1] <= n_q * generators[q]:
+            if generators[q + 1] <= n[q - 1] * generators[q]:
                 raise ValidationError(
-                    f"generator {generators[q + 1]} must exceed {n_q} * {generators[q]}"
+                    f"generator {generators[q + 1]} must exceed {n[q - 1]} * {generators[q]}"
                 )
-        self._set(generators=generators, gcds=chain)
+        self._set(generators=generators, gcds=chain, n_factors=n)
 
     def milnor(self) -> int:
         """Milnor number, which for a branch equals the conductor."""

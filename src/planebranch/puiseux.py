@@ -7,8 +7,8 @@ root multiplicity, class membership) either passes a consistency test or
 triggers a retry of the whole computation at a higher precision tier.
 Exactness re-enters through the exponents, which are always exact:
 integers over one denominator inside the expander, in each series beside
-its Fraction terms, and through contact orders, class sums and thresholds,
-which become Fractions only where they leave the module.  Contact orders and
+its Fraction terms, and through contact orders and class sums, which
+become Fractions only where they leave the module.  Contact orders and
 intersection numbers read off the series are therefore exact the moment the
 coefficient decisions are trusted.
 """
@@ -700,6 +700,9 @@ def contact(f: BiPoly, h: BiPoly, partial: bool = False, depth=None):
     if depth is not None:
         depth = _positive_depth(depth)
     if f == h and not f.is_zero():
+        # f/x^a has a root through the origin exactly when it vanishes there
+        if f.coefficient(f.ord_x(), 0):
+            raise ValidationError("contact needs curves through the origin")
         return inf
 
     def settled(values):
@@ -804,6 +807,11 @@ def _jacobian_diagram(ord_f, ord_fk, den, alpha, deg_f, deg_fk) -> NewtonDiagram
         for (p, q), (a, b) in sums.items()])
 
 
+def _verifier_depth(exponents) -> Fraction:
+    """b_g/b_0 + 1, the depth of both verifiers, from (b_0; ..., b_g)."""
+    return Fraction(exponents[-1], exponents[0]) + 1
+
+
 class _Decomposition:
     """Merle's polar decomposition of one branch, for each requested index k.
 
@@ -820,8 +828,8 @@ class _Decomposition:
     measure(ctx) is the numeric work at one precision tier.  Each caller
     runs it under _with_escalation, so an escalation at any k reruns every
     k at the next tier, with whatever the caller measures beside it.
-    Every contact is compared as an integer over a common multiple of b_0
-    and the denominators of the series involved.
+    Every contact is compared as an integer over a common multiple of the
+    denominators of the series involved.
     """
 
     def __init__(self, f: BiPoly, indices=None, fk: BiPoly | None = None):
@@ -858,7 +866,7 @@ class _Decomposition:
         self.f = f
         self.s = s
         self.exponents = semigroup_to_char(s).exponents
-        self.depth = Fraction(self.exponents[-1], self.exponents[0]) + 1
+        self.depth = _verifier_depth(self.exponents)
 
     def measure(self, ctx):
         """Expand f once: its roots sigma and, per k, the (classes,
@@ -867,62 +875,54 @@ class _Decomposition:
         return sigma, {k: self._classify(ctx, sigma, k) for k in self.roots}
 
     def _classify(self, ctx, sigma, k):
-        """Contact classes of the jacobian roots of index k, their counts at
-        contact b_(k+1)/b_0 or more with each root of f, and the diagram of
-        (f_k, f) measured root by root from the same contacts, which reads
-        neither the semigroup nor the classes."""
-        s, b = self.s, self.exponents
-        b0 = b[0]
+        """Contact classes of the jacobian roots of index k, the deep roots'
+        counts at their own contact with f_k or more with each root of f,
+        and the diagram of (f_k, f), all from measured contacts and none
+        from the semigroup.  Every root of f_k meets f at exactly b_(k+1)/b_0
+        and contact is ultrametric, so a root meeting f at tau above its
+        contact tau_k with f_k meets f_k at exactly b_(k+1)/b_0: it is deep,
+        in the class of tau.  Every other root, tau_k = inf included, meets
+        f and f_k alike and is residual."""
         alpha, j1 = self.jacobians[k].x_content()
         # _expand escalates unless it finds every root, so no count of
         # sigma, sigma_k or gamma needs a check here, and the counts of
         # sigma and sigma_k are the y-degrees, I(x, f) and I(x, f_k)
         sigma_k = _expand_bipoly(ctx, self.roots[k], self.depth)
         gamma = _expand_bipoly(ctx, j1, self.depth)
-        den = lcm(b0, *(ps._den for ps in sigma + sigma_k + gamma))
-        unit = den // b0
-        threshold = b[k + 1] * unit
+        # a list: star-arguments from a generator build a resized tuple, which grows RSS
+        den = lcm(*[ps._den for ps in sigma + sigma_k + gamma])
         if self.fk_given:
-            best = max(map(max, _decided_contacts(ctx, sigma_k, sigma, den,
-                                                  "validating the supplied root")))
-            if best != threshold:
-                raise ValidationError(
-                    f"supplied polynomial has contact {_ratio(best, den)} with the branch, "
-                    f"expected {Fraction(b[k + 1], b0)}; it is not a curve of "
-                    f"maximal contact of index {k}"
-                )
+            best = _ratio(max(map(max, _decided_contacts(ctx, sigma_k, sigma, den,
+                                                         "validating the supplied root"))), den)
+            expected = Fraction(self.exponents[k + 1], self.exponents[0])
+            if best != expected:
+                raise ValidationError(f"supplied polynomial has contact {best} with the branch, "
+                                      f"expected {expected}; it is not a curve of maximal "
+                                      f"contact of index {k}")
         o_f = _decided_contacts(ctx, gamma, sigma, den, "jacobian root against f")
         o_fk = _decided_contacts(ctx, gamma, sigma_k, den,
                                  "jacobian root against the approximate root")
         # I(gamma, f) and I(gamma, f_k) of each jacobian root, over den
         ord_f = [sum(row) for row in o_f]
         ord_fk = [sum(row) for row in o_fk]
-        # one class per key, in this order: None for the residual class, of
-        # contact below the threshold, then each deeper characteristic value
-        # b_i/b_0, that is b_i*unit over den
-        members = {None: [], **{b[i] * unit: [] for i in range(k + 2, s.genus + 1)}}
-        for idx, row in enumerate(o_f):
-            tau = max(row)
-            key = None if tau < threshold else tau
-            if key not in members:
-                raise _EscalationNeeded(
-                    f"jacobian root has contact {_ratio(tau, den)} with the branch, which "
-                    f"is neither below {Fraction(b[k + 1], b0)} nor a characteristic value"
-                )
-            members[key].append(idx)
+        keys = [tau if tau > tau_k else None for tau, tau_k in zip(map(max, o_f), map(max, o_fk))]
+        # one class per key, roots in gamma order: None for the residual
+        # class, present even when empty, then the deep ones by contact
+        members = {key: [i for i, ki in enumerate(keys) if ki == key]
+                   for key in [None, *sorted(set(keys) - {None})]}
         classes = []
         for pos, (key, idxs) in enumerate(members.items()):
             # the residual class also takes the factor x^alpha of the jacobian
             x_power = alpha if key is None else 0
-            what = ("residual class {}" if key is None
-                    else f"class {{}} at contact {key // unit}/{b0}")
-            f_sum = x_power * s.generators[0] * den + sum(ord_f[i] for i in idxs)
-            fk_sum = x_power * (b0 // s.gcds[k]) * den + sum(ord_fk[i] for i in idxs)
-            classes.append(ContactClass(pos, None if key is None else Fraction(key, den),
-                                        [gamma[i] for i in idxs], x_power,
+            tau = None if key is None else Fraction(key, den)
+            what = "residual class {}" if key is None else f"class {{}} at contact {tau}"
+            f_sum = x_power * len(sigma) * den + sum(ord_f[i] for i in idxs)
+            fk_sum = x_power * len(sigma_k) * den + sum(ord_fk[i] for i in idxs)
+            classes.append(ContactClass(pos, tau, [gamma[i] for i in idxs], x_power,
                                         _int_or_escalate(f_sum, den, what.format("length")),
                                         _int_or_escalate(fk_sum, den, what.format("height"))))
-        jac_counts = [sum(1 for row in o_f if row[s_idx] >= threshold)
+        deep = [(row, max(row_k)) for row, row_k, key in zip(o_f, o_fk, keys) if key is not None]
+        jac_counts = [sum(row[s_idx] >= tau_k for row, tau_k in deep)
                       for s_idx in range(len(sigma))]
         diagram = _jacobian_diagram(ord_f, ord_fk, den, alpha, len(sigma), len(sigma_k))
         return classes, jac_counts, diagram
@@ -956,10 +956,9 @@ def verify_cycle(f: BiPoly, depth=None):
     they check the rotation, not the branch.
     """
     s = semigroup_of(f)
-    char = semigroup_to_char(s)
     b0 = s.multiplicity
     if depth is None:
-        depth = Fraction(char.exponents[-1], b0) + 1
+        depth = _verifier_depth(semigroup_to_char(s).exponents)
     series = puiseux_expand(f, depth)
     report = []
     report.append(("root count", len(series) == f.deg_y(),
@@ -988,10 +987,10 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
     the contacts between conjugate roots of f, so an escalation anywhere
     reruns all of it.  The profile of a root is the sorted list of its
     contacts with the other conjugates above b_(k+1)/b_0, which must be
-    b_j/b_0 repeated l_(j-1) - l_j times for j = k+2..g; the class sizes
-    are the root counts of the deep classes, one per such j.  The exact
-    totals come from intersection_multiplicity, which reads them off the
-    expansion in the characteristic roots of the branch just certified;
+    b_j/b_0 repeated l_(j-1) - l_j times for j = k+2..g; the deep classes
+    must lie one at each such b_j/b_0 and hold the predicted root counts.
+    The exact totals come from intersection_multiplicity, which reads them
+    off the expansion in the characteristic roots of the branch just certified;
     only a supplied fk that is none of those roots takes the resultant.  A
     supplied fk without k is checked at the one index whose degree b_0/l_k
     it has.  Returns the full report; raises VerificationError on any
@@ -1017,8 +1016,8 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
     def check(name, ok, detail=""):
         report.append((name, bool(ok), detail))
 
-    def fractions(nums):
-        return "[" + ", ".join(str(_ratio(v, den)) for v in nums) + "]"
+    def fractions(nums, scale=den):
+        return "[" + ", ".join(str(_ratio(v, scale)) for v in nums) + "]"
 
     for kk, (classes, jac_counts, diagram) in measured.items():
         tag = f"k={kk}"
@@ -1042,10 +1041,14 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
             f"{sorted(set(jac_counts))} vs {expected_jac}",
         )
 
+        contacts = [cls.contact for cls in classes[1:]]
+        expected_contacts = [Fraction(b[i], b0) for i in range(kk + 2, g + 1)]
         sizes = [cls.x_intersection for cls in classes[1:]]
         expected_sizes = [(b0 // l[i - 1]) * (n[i - 1] - 1) for i in range(kk + 2, g + 1)]
-        check(f"{tag}: class sizes", sizes == expected_sizes,
-              "" if sizes == expected_sizes else f"{sizes} vs {expected_sizes}")
+        detail = (f"contacts {fractions(contacts, 1)} vs {fractions(expected_contacts, 1)}"
+                  if contacts != expected_contacts
+                  else f"{sizes} vs {expected_sizes}" if sizes != expected_sizes else "")
+        check(f"{tag}: class sizes", not detail, detail)
 
         zeros_deep = any(
             any(r.is_exact_zero() for r in cls.roots) for cls in classes[1:]

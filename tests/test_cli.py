@@ -122,6 +122,18 @@ def test_jnd_verify_failure_exits_2(capsys, monkeypatch):
     assert envelope["message"].startswith("decomposition checks failed")
 
 
+@pytest.mark.parametrize("command, message", [
+    ("invariants", "a smooth branch has no jacobian invariants"),
+    ("jnd", "a smooth branch has no approximate jacobian diagrams"),
+])
+def test_smooth_semigroup_exits_1(capsys, command, message):
+    code, out, err = run(capsys, command, "--semigroup", "1")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    code, out, err = run(capsys, command, "--semigroup", "1", "--json")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValidationError", "message": message}
+
+
 # a tail far above the Milnor number changes nothing, and its exponent must
 # cost no memory: the resultants keep only the terms that are there
 HUGE_TAIL = "y^2-x^3+x^1000000000000*y"

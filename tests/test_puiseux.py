@@ -430,6 +430,16 @@ def test_contact_input_validation():
         contact(parse_poly("1+x"), CUSP)  # no root through the origin
 
 
+@pytest.mark.parametrize("f", ["1+x", "x"])
+def test_contact_of_a_curve_with_itself_needs_the_origin(f):
+    # neither curve has a Puiseux root through the origin, whether or not
+    # it passes through it, so the f == h shortcut must not answer inf
+    for call in (contact, root_contacts):
+        with pytest.raises(ValidationError, match="^contact needs curves through the origin$"):
+            call(parse_poly(f), parse_poly(f))
+    assert contact(parse_poly("y"), parse_poly("y")) == inf
+
+
 def test_root_contacts_frozen():
     f1 = BRANCH_6_8_27
     jac1 = jacobian_det(parse_poly("y^3-6*x^3*y-x^4"), f1)
@@ -651,6 +661,39 @@ def test_verify_decomposition_reports_a_wrong_class_size(monkeypatch):
     with pytest.raises(VerificationError,
                        match=r"checks failed: k=0: class sizes \(\[2\] vs \[3\]\)$"):
         verify_decomposition(BRANCH_6_8_27)
+
+
+def test_verify_decomposition_reports_a_wrong_class_contact(monkeypatch):
+    # <6, 8, 27> at k=0 has one deep class, at contact b_2/b_0 = 11/6; move it to 5
+    measure = puiseux._Decomposition.measure
+
+    def moved(self, ctx):
+        sigma, measured = measure(self, ctx)
+        classes, jac_counts, diagram = measured[0]
+        c = classes[-1]
+        far = puiseux.ContactClass(c.index, Fraction(5), c.roots, c.x_power,
+                                   c.f_intersection, c.fk_intersection)
+        measured[0] = (classes[:-1] + [far], jac_counts, diagram)
+        return sigma, measured
+
+    monkeypatch.setattr(puiseux._Decomposition, "measure", moved)
+    with pytest.raises(VerificationError,
+                       match=r"checks failed: k=0: class sizes \(contacts \[5\] vs \[11/6\]\)$"):
+        verify_decomposition(BRANCH_6_8_27)
+
+
+def test_classification_reads_no_semigroup_value():
+    # the classes, counts and diagrams of <6, 8, 27> stay the same when the
+    # decomposition is handed the semigroup and exponents of <4, 6, 13>
+    def measured(dec):
+        return puiseux._with_escalation(dec.measure)[1]
+
+    dec = puiseux._Decomposition(BRANCH_6_8_27)
+    expected = measured(dec)
+    dec.s = Semigroup((4, 6, 13))
+    dec.exponents = semigroup_to_char(dec.s).exponents
+    assert measured(dec) == expected
+    assert [len(classes) for classes, _, _ in expected.values()] == [2, 1]
 
 
 def test_verify_decomposition_rejects_smooth():

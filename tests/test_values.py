@@ -110,6 +110,16 @@ def test_values_copy_and_pickle(cls):
             setattr(twin, cls.__slots__[0], None)
 
 
+@pytest.mark.parametrize("cls", [CharSequence, Semigroup], ids=lambda c: c.__name__)
+def test_n_factors_survive_copy_and_pickle(cls):
+    value = VALUES[cls][0]()
+    assert value.n_factors == (2, 2)
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin.n_factors == value.n_factors and twin.gcds == value.gcds
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            twin.n_factors = (1,)
+
+
 @pytest.mark.parametrize(
     "value",
     [
