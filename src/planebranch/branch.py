@@ -274,20 +274,21 @@ def _am_iteration(f: BiPoly):
     intersection_multiplicity reads intersections with f and its roots off
     their expansion.  A failure leaves the record as it was.
 
-    The run takes no resultant: it reads its own numbers that way, level
-    by level.  f_0 has degree 1, a smooth branch.  Before f_k is used it
-    is certified as a branch whose roots are f_0, ..., f_(k-1), since
-    approximate roots are transitive: its generators deg f_k and
-    I(f_j, f_k), read off its expansion in each f_j, must be v_0 / l_k, ...,
-    v_k / l_k, as for a branch's roots (Popescu-Pampu, Approximate roots,
-    Fields Inst. Commun. 33, 2003), and form a semigroup.  Then the
-    expansion of f in f_0, ..., f_k gives I(f_k, f) exactly (Abhyankar and
-    Moh, J. reine angew. Math. 260, 1973).  The numbers alone do not make a
-    branch: (y^2-x^3)(y^3-x^4) meets y with order 7, prime to 5.  So the
-    expansion of f_k in f_(k-1), and of f in its last root, must also be
-    one Newton edge (Abhyankar, Adv. Math. 74, 1989); with
-    v_(q+1) > n_q v_q that gives one edge at every lower level too.  A root
-    that fails its certificate shows that f is not a branch.
+    The run takes no resultant.  It certifies f by Abhyankar's
+    irreducibility criterion (Adv. Math. 74, 1989), asked at every level
+    of f's own expansion.  At the level l it expands f = sum_(e <= l)
+    c_e f_k^e in the l-th approximate root f_k, and each digit c_e in x and
+    f_0, ..., f_(k-1), valuing x^a f_0^e_0 ... f_(k-1)^e_(k-1) with f's
+    generators so far over l.  The next generator b is the least value of
+    c_0.  It must be finite, at least deg f at the first level, and refine
+    the gcd chain, and every digit must lie on or above the Newton edge
+    from (b, 0) to (0, l): l * value(c_e) >= (l - e) b.  The numbers alone
+    do not make a branch: (y^2-x^3)(y^3-x^4) meets y with order 7, prime
+    to 5, and fails the edge.  When every level passes and the generators
+    form a semigroup, f is a branch, and by Abhyankar and Moh (J. reine
+    angew. Math. 260, 1973) each f_k is a branch of maximal contact with
+    semigroup v_0 / l_k, ..., v_k / l_k, whose intersection with f is
+    v_(k+1).  The first level that fails shows that f is not a branch.
     """
     chain, s, _, _ = poly._certified
     if chain and (chain[-1] is f or chain[-1] == f):
@@ -305,7 +306,6 @@ def _am_iteration(f: BiPoly):
             D, rows = grown, [_y_rows(p, grown)[0] for p in (*roots, f)]
         rows.insert(-1, fk_rows)
         weights = [v // l for v in gens]
-        _check_root(rows[:-1], gens)
         b, q = _expansion_intersection(rows[:-1], weights, rows[-1])
         if b == inf:
             raise ValidationError(
@@ -324,7 +324,7 @@ def _am_iteration(f: BiPoly):
                 "not an irreducible branch: intersection with an approximate root "
                 f"does not refine the gcd chain (level {l}, intersection {b})"
             )
-        if new_l == 1 and not _one_edge(rows[:-1], weights, b, q):
+        if not _one_edge(rows[:-1], weights, b, q):
             raise ValidationError(
                 "not an irreducible branch: its expansion in the approximate root of "
                 f"degree {n // l} is not one Newton edge"
@@ -338,35 +338,6 @@ def _am_iteration(f: BiPoly):
         raise ValidationError(f"not an irreducible branch: {exc}") from exc
     poly._certified = ((*roots, f), s, D, rows)
     return s, tuple(roots)
-
-
-def _check_root(rows, gens):
-    """Certify f_k, the last of rows, given the certified f_0, ..., f_(k-1)
-    before it and f's generators v_0, ..., v_k; see _am_iteration.  Raises
-    ValidationError naming f_k when it is not a branch."""
-    k, levels = len(rows) - 1, _gcd_chain(gens)
-    own, why = [len(rows[k]) - 1], None
-    for j in range(k):
-        weights = [v // levels[j] for v in gens[: j + 1]]
-        b, q = _expansion_intersection(rows[: j + 1], weights, rows[k])
-        own.append(b)
-        if b == inf:
-            why = f"it shares a component with the root of degree {len(rows[j]) - 1}"
-            break
-        if j == k - 1 and not _one_edge(rows[:k], weights, b, q):
-            why = f"its expansion in the root of degree {len(rows[j]) - 1} is not one Newton edge"
-    if not why and own != [v // levels[k] for v in gens]:
-        why = f"its generators {tuple(own)} are not f's first ones over {levels[k]}"
-    if not why:
-        try:
-            Semigroup(tuple(own))
-            return
-        except ValidationError as exc:
-            why = str(exc)
-    raise ValidationError(
-        f"not an irreducible branch: its approximate root of degree {own[0]} "
-        f"is not a branch ({why})"
-    )
 
 
 def semigroup_of(f: BiPoly) -> Semigroup:

@@ -274,7 +274,7 @@ class NewtonDiagram(Value):
     def render_ascii(self) -> str:
         verts = self.vertices()
         if any(v[0].denominator != 1 or v[1].denominator != 1 for v in verts):
-            scale = lcm(*(c.denominator for v in verts for c in v))
+            scale = lcm(*[c.denominator for v in verts for c in v])
             verts = tuple((v[0] * scale, v[1] * scale) for v in verts)
             note = f"(coordinates scaled by {scale})"
         else:

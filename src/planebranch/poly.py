@@ -16,7 +16,7 @@ number of terms, not the x-degree: an x^(mu+2)*y tail or an exponent of
 An intersection number with a certified branch or one of its roots is
 read off an expansion in the roots, in place of a resultant, over integer
 rows in the coordinate Y = D*y (see _y_rows); branch._am_iteration
-certifies each root that way before it reads the next generator off f.
+reads every level of f that way to apply Abhyankar's criterion.
 The module keeps one record, _certified, of the last branch certified,
 with its roots, semigroup, D and rows; branch._am_iteration looks it up
 and writes it, and intersection_multiplicity reads it, for the

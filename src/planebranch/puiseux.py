@@ -666,7 +666,7 @@ def _root_contacts_deepening(f: BiPoly, h: BiPoly, depth, settled):
         sh = _expand_bipoly(ctx, h, d)
         if not sf or not sh:
             raise ValidationError("contact needs curves through the origin")
-        den = lcm(*(ps._den for ps in sf + sh))
+        den = lcm(*[ps._den for ps in sf + sh])
         values = []
         for row in _contacts(ctx, sh, sf, den):
             best = max((v for v in row if v is not None), default=0)

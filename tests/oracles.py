@@ -11,8 +11,8 @@ products, powers and jacobians through one Fraction operation per pair of
 terms, where the library works on integer numerators.  The Abhyankar-Moh
 iteration goes through one resultant per level, and Abhyankar's
 irreducibility criterion through BiPoly long division with a Newton edge
-asked at every level, where the library reads each level off an expansion
-on integer rows and asks for the edge at the last level of each polynomial.
+asked at every level, where the library asks the same of an expansion on
+integer rows.
 The Newton-Puiseux expander adds Fraction exponents level by level, where
 the library carries integers over one denominator, and rotates each root's
 tails into its conjugates by those Fractions; its every_root mode expands

@@ -362,12 +362,13 @@ def test_exit_codes(capsys):
 
 
 def test_a_root_that_is_not_a_branch_is_named(capsys):
-    # (y^3-x^5)^2 + x^9 meets y with order 9, so its root of degree 2 is next;
-    # that root is y^2, which shares the component y = 0 with the root y
+    # (y^3-x^5)^2 + x^9 meets y with order 9, so the root of degree 2 is next;
+    # it is y^2, and the remainder x^9 + x^10 of f by y^2 values 18 with x
+    # weighing 6/3, a multiple of 3 that leaves the gcd chain at 3
     code, out, err = run(capsys, "semigroup", "--f", "(y^3-x^5)^2+x^9")
     assert (code, out) == (1, "")
-    assert err == ("error: not an irreducible branch: its approximate root of degree 2 "
-                   "is not a branch (it shares a component with the root of degree 1)\n")
+    assert err == ("error: not an irreducible branch: intersection with an approximate root "
+                   "does not refine the gcd chain (level 3, intersection 18)\n")
     code, _, err = run(capsys, "roots", "--f", "(y^3-x^5)^2+x^9", "--json")
     assert code == 1 and json.loads(err)["error"] == "ValidationError"
 
@@ -376,6 +377,15 @@ def test_a_product_of_coprime_degrees_is_not_a_branch(capsys):
     # I(y, f) = 3 + 4 = 7 is prime to 5, but x^4*y^2 lies below the Newton
     # edge from y^5 to x^7
     code, out, err = run(capsys, "semigroup", "--f", "(y^2-x^3)*(y^3-x^4)")
+    assert (code, out) == (1, "")
+    assert err == ("error: not an irreducible branch: its expansion in the approximate root "
+                   "of degree 1 is not one Newton edge\n")
+
+
+def test_two_branches_of_one_degree_fail_the_first_level(capsys):
+    # I(y, f) = 4 + 5 = 9 is prime to 6, but x^4*y^3 lies below the Newton
+    # edge from y^6 to x^9
+    code, out, err = run(capsys, "semigroup", "--f", "(y^3-x^4)*(y^3-x^5)")
     assert (code, out) == (1, "")
     assert err == ("error: not an irreducible branch: its expansion in the approximate root "
                    "of degree 1 is not one Newton edge\n")

@@ -81,7 +81,9 @@ CLASSES = list(VALUES)
 def test_values_are_immutable(cls):
     value = VALUES[cls][0]()
     message = f"^{cls.__name__} is immutable$"
-    for name in (*cls.__slots__, "anything_new"):
+    # every class of the MRO, so inherited slots such as gcds are swept too
+    slots = [name for base in cls.__mro__ for name in getattr(base, "__slots__", ())]
+    for name in (*slots, "anything_new"):
         with pytest.raises(AttributeError, match=message):
             setattr(value, name, None)
         with pytest.raises(AttributeError, match=message):
