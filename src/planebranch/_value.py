@@ -32,8 +32,8 @@ def _num_to_json(v):
 class Value:
     """An immutable value, compared and hashed by its _key().
 
-    A subclass declares its __slots__, fills them once in __init__ through
-    _set, and returns from _key() what makes two of its values equal.
+    A subclass declares its __slots__, fills them once through _set, in a
+    constructor, and returns from _key() what makes two of its values equal.
     Values of different types never compare equal, even with equal keys.
     copy, deepcopy and pickle restore the slots through _set as well.
     """

@@ -2,15 +2,17 @@
 
 A diagram is stored in normal form: a monomial shift (the x and y content)
 plus a tuple of finite elementary segments with strictly increasing
-inclination.  Infinite elementary pieces appear only in the canonical
-decomposition and in serialized input, where they are folded back into the
-shift: as a Minkowski summand a segment of horizontal extent a and infinite
-height is exactly the diagram of x^a, and symmetrically for y.
+inclination, made once by _normal_form for the public constructor and the
+private NewtonDiagram._of alike.  Infinite elementary pieces appear only in
+the canonical decomposition and in serialized input, where they are folded
+back into the shift: as a Minkowski summand a segment of horizontal extent a
+and infinite height is exactly the diagram of x^a, and symmetrically for y.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import merge
 from math import gcd, inf, lcm
 
 from ._value import Value, _num_to_json, _rational
@@ -32,7 +34,7 @@ __all__ = [
 _GRID_UNITS = 100
 
 
-def _exact(value, what: str, allowed: str):
+def _exact(value, what: str = "diagram shift", allowed: str = "rational"):
     """value by the rule of _rational, as an int when it is integral and a
     Fraction otherwise."""
     if type(value) is int:
@@ -58,24 +60,24 @@ class ElementarySegment(Value):
     a float exactly when it is infinite (the float inf); a finite side is an
     int when it is integral and a Fraction otherwise, so "26/2" is stored as
     13 and isinstance(side, float) tells an infinite side.  The inclination,
-    length over height, is fixed at construction and is always a Fraction
-    for a finite segment: 0 for a pure x shift, inf for a pure y shift.
+    length over height, is computed from the sides when read: a Fraction for
+    a finite segment, Fraction(0) for a pure x shift, inf for a pure y shift.
     """
 
-    __slots__ = ("length", "height", "inclination")
+    __slots__ = ("length", "height")
 
     def __init__(self, length, height):
         length = _side(length, "segment length")
         height = _side(height, "segment height")
-        if isinstance(height, float):
-            if isinstance(length, float):
-                raise ValidationError("segment cannot be infinite in both directions")
-            inclination = Fraction(0)
-        elif isinstance(length, float):
-            inclination = inf
-        else:
-            inclination = Fraction(length, height)
-        self._set(length=length, height=height, inclination=inclination)
+        if isinstance(length, float) and isinstance(height, float):
+            raise ValidationError("segment cannot be infinite in both directions")
+        self._set(length=length, height=height)
+
+    @property
+    def inclination(self):
+        if isinstance(self.height, float):
+            return Fraction(0)
+        return inf if isinstance(self.length, float) else Fraction(self.length, self.height)
 
     def scaled(self, factor) -> "ElementarySegment":
         factor = _rational(factor, "scale factor", "rational")
@@ -129,6 +131,21 @@ def lower_hull(points):
     return hull
 
 
+def _normal_form(finite) -> tuple:
+    """A list of finite segments as a tuple by strictly increasing inclination, equal
+    neighbours summed: one linear pass by cross products, sorting only a list out of order."""
+    out = []
+    for seg in finite:
+        order = out[-1].length * seg.height - seg.length * out[-1].height if out else -1
+        if order > 0:
+            return _normal_form(sorted(finite, key=lambda s: s.inclination))
+        if order == 0:  # Fractions can sum to an int, stored by the rule again
+            prev = out.pop()
+            seg = ElementarySegment(prev.length + seg.length, prev.height + seg.height)
+        out.append(seg)
+    return tuple(out)
+
+
 class NewtonDiagram(Value):
     """A Newton diagram: monomial shift plus finite elementary segments.
 
@@ -153,8 +170,8 @@ class NewtonDiagram(Value):
             if not (isinstance(seg, ElementarySegment)
                     or isinstance(seg, (list, tuple)) and len(seg) == 2):
                 raise ValidationError(f"segment entry must be a pair, got {seg!r}")
-        sx = _exact(shift[0], "diagram shift", "rational")
-        sy = _exact(shift[1], "diagram shift", "rational")
+        sx = _exact(shift[0])
+        sy = _exact(shift[1])
         if sx < 0 or sy < 0:
             raise ValidationError(f"diagram shift must be nonnegative, got ({sx}, {sy})")
         finite = []
@@ -164,19 +181,19 @@ class NewtonDiagram(Value):
             # a sum of Fractions can be integral, so each folded coordinate is
             # stored by the same rule again
             if isinstance(seg.height, float):
-                sx = _exact(sx + seg.length, "diagram shift", "rational")
+                sx = _exact(sx + seg.length)
             elif isinstance(seg.length, float):
-                sy = _exact(sy + seg.height, "diagram shift", "rational")
+                sy = _exact(sy + seg.height)
             else:
                 finite.append(seg)
-        finite.sort(key=lambda s: s.inclination)
-        merged: list[ElementarySegment] = []
-        for seg in finite:
-            if merged and merged[-1].inclination == seg.inclination:
-                prev = merged.pop()
-                seg = ElementarySegment(prev.length + seg.length, prev.height + seg.height)
-            merged.append(seg)
-        self._set(shift=(sx, sy), segments=tuple(merged))
+        self._set(shift=(sx, sy), segments=_normal_form(finite))
+
+    @classmethod
+    def _of(cls, finite, x, y) -> "NewtonDiagram":
+        """The diagram of a list of checked finite segments and a shift (x, y)."""
+        diagram = object.__new__(cls)
+        diagram._set(shift=(_exact(x), _exact(y)), segments=_normal_form(finite))
+        return diagram
 
     # -- inspection -----------------------------------------------------
 
@@ -227,9 +244,10 @@ class NewtonDiagram(Value):
     def __add__(self, other):
         if not isinstance(other, NewtonDiagram):
             return NotImplemented
-        sx = self.shift[0] + other.shift[0]
-        sy = self.shift[1] + other.shift[1]
-        return NewtonDiagram(self.segments + other.segments, (sx, sy))
+        # one linear merge of the two sorted tuples; _normal_form sums equal inclinations
+        merged = merge(self.segments, other.segments, key=lambda s: s.inclination)
+        return NewtonDiagram._of(list(merged), self.shift[0] + other.shift[0],
+                                 self.shift[1] + other.shift[1])
 
     def __sub__(self, other):
         if not isinstance(other, NewtonDiagram):
@@ -241,10 +259,8 @@ class NewtonDiagram(Value):
         # checked here too: a diagram without segments never reaches the segment check
         if factor <= 0:
             raise ValidationError("scale factor must be positive")
-        return NewtonDiagram(
-            [s.scaled(factor) for s in self.segments],
-            (self.shift[0] * factor, self.shift[1] * factor),
-        )
+        return NewtonDiagram._of([s.scaled(factor) for s in self.segments],
+                                 self.shift[0] * factor, self.shift[1] * factor)
 
     # -- serialization ----------------------------------------------------
 
@@ -399,14 +415,15 @@ def diagram_difference(a: NewtonDiagram, b: NewtonDiagram) -> NewtonDiagram:
     sy = a.shift[1] - b.shift[1]
     if sx < 0 or sy < 0:
         raise ValidationError("difference is not a diagram: negative shift")
-    remaining = []
-    by_incl = {s.inclination: s for s in a.segments}
-    consumed = set()
+    # one merge pass over the two normal forms, both by increasing inclination
+    faces, remaining = iter(a.segments), []
     for seg in b.segments:
-        match = by_incl.get(seg.inclination)
-        if match is None:
+        match = next(faces, None)
+        while match is not None and match.length * seg.height < seg.length * match.height:
+            remaining.append(match)
+            match = next(faces, None)
+        if match is None or match.length * seg.height != seg.length * match.height:
             raise ValidationError(f"no face with inclination {seg.inclination} to subtract {seg} from")
-        consumed.add(seg.inclination)
         ln = match.length - seg.length
         ht = match.height - seg.height
         if ln < 0 or ht < 0:
@@ -415,8 +432,6 @@ def diagram_difference(a: NewtonDiagram, b: NewtonDiagram) -> NewtonDiagram:
             raise ValidationError(f"subtracting {seg} from {match} leaves a degenerate face")
         if ln:
             remaining.append(ElementarySegment(ln, ht))
-    for seg in a.segments:
-        if seg.inclination not in consumed:
-            remaining.append(seg)
-    return NewtonDiagram(remaining, (sx, sy))
+    remaining.extend(faces)
+    return NewtonDiagram._of(remaining, sx, sy)
 

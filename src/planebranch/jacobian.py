@@ -67,7 +67,7 @@ def jnd_formula(s: Semigroup, k: int) -> NewtonDiagram:
     for i in range(k + 2, g + 1):
         segments.append(ElementarySegment((n[i - 1] - 1) * v[i], cofactor * (n[i - 1] - 1)))
         cofactor *= n[i - 1]
-    return NewtonDiagram(segments)
+    return NewtonDiagram._of(segments, 0, 0)
 
 
 def jacobian_invariants(s: Semigroup, k: int) -> tuple:

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -77,6 +78,30 @@ def test_integral_sides_are_stored_as_ints():
     d = diagram_from_support([(2, 3), (5, 1), (9, 0)])
     assert all(type(c) is int for c in d.shift)
     assert all(type(side) is int for seg in d.segments for side in (seg.length, seg.height))
+
+
+def test_integral_sums_are_stored_as_ints():
+    # sums of Fractions that come out integral are stored as ints by every
+    # operation that adds or subtracts sides or shift coordinates
+    half = NewtonDiagram([(Fraction(1, 2), Fraction(1, 4))], (Fraction(1, 2), 0))
+    three_halves = NewtonDiagram([(Fraction(3, 2), Fraction(3, 4))], (Fraction(3, 2), 0))
+    sums = {
+        "+": half + half,
+        "minkowski_sum": minkowski_sum(half, half),
+        "-": three_halves - half,
+        "scaled": half.scaled(2),
+        "constructor merge": NewtonDiagram(
+            [(Fraction(1, 2), Fraction(1, 4)), (Fraction(1, 2), Fraction(1, 4)), ("1/2", inf)],
+            (Fraction(1, 2), 0)),
+        "constructor merge out of order": NewtonDiagram(
+            [(Fraction(1, 2), Fraction(1, 4)), (3, 1), (Fraction(1, 2), Fraction(1, 4))],
+            (1, 0)),
+    }
+    for how, d in sums.items():
+        seg = d.segments[0]
+        assert (seg.length, seg.height) == (1, Fraction(1, 2)), how
+        assert type(seg.length) is int and type(seg.height) is Fraction, how
+        assert d.shift == (1, 0) and all(type(c) is int for c in d.shift), how
 
 
 def test_malformed_diagram_arguments_are_typed_errors():
@@ -185,6 +210,24 @@ def test_difference_identity():
     lhs = NewtonDiagram([E(12, 3), E(26, 6)])
     rhs = NewtonDiagram([E(4, 1), E(13, 3)])
     assert lhs - rhs == NewtonDiagram([E(8, 2), E(13, 3)])
+
+
+def test_difference_error_messages():
+    # the first segment of the subtrahend, by inclination, that fails names the error
+    cases = [
+        (NewtonDiagram([], (1, 0)), NewtonDiagram([], (2, 0)),
+         "difference is not a diagram: negative shift"),
+        (NewtonDiagram([E(4, 1), E(13, 3)]), NewtonDiagram([E(1, 1), E(26, 6)]),
+         "no face with inclination 1 to subtract {1\\1} from"),
+        (NewtonDiagram([E(4, 1)]), NewtonDiagram([E(3, 2)]),
+         "no face with inclination 3/2 to subtract {3\\2} from"),
+        (NewtonDiagram([E(4, 1)]), NewtonDiagram([E(8, 2), E(13, 3)]),
+         "cannot subtract {8\\2} from the shorter face {4\\1}"),
+    ]
+    for a, b, message in cases:
+        with pytest.raises(ValidationError) as info:
+            a - b
+        assert str(info.value) == message
 
 
 def test_difference_requires_summand():
@@ -298,3 +341,47 @@ def test_sum_with_trivial_is_identity(rng):
     d = NewtonDiagram([E(8, 2), E(13, 3)], shift=(2, 0))
     assert d + NewtonDiagram([]) == d
     assert (d - d).is_trivial()
+
+
+def _random_diagram(rng):
+    """A diagram from shuffled pieces: int and Fraction sides, collinear
+    copies, infinite pieces and a shift."""
+    def side():
+        if rng.random() < 0.6:
+            return rng.randint(1, 4)
+        return Fraction(rng.randint(1, 8), rng.randint(1, 4))
+
+    pieces = []
+    for _ in range(rng.randint(0, 6)):
+        roll = rng.random()
+        finite = [p for p in pieces if not any(isinstance(v, float) for v in (p.length, p.height))]
+        if roll < 0.15:
+            pieces.append(E(side(), inf))
+        elif roll < 0.3:
+            pieces.append(E(inf, side()))
+        elif roll < 0.5 and finite:
+            pieces.append(rng.choice(finite).scaled(Fraction(rng.randint(1, 6), rng.randint(1, 3))))
+        else:
+            pieces.append(E(side(), side()))
+    rng.shuffle(pieces)
+    return NewtonDiagram(pieces, (rng.choice([0, side()]), rng.choice([0, side()])))
+
+
+def test_arithmetic_matches_the_public_constructor():
+    # +, scaled and - against the constructor applied to the pieces
+    rng = random.Random(27)
+    for _ in range(600):
+        a, b = _random_diagram(rng), _random_diagram(rng)
+        factor = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+        total = a + b
+        assert total == NewtonDiagram([*a.canonical_decomposition(), *b.canonical_decomposition()])
+        assert minkowski_sum(a, b) == total
+        scaled = a.scaled(factor)
+        assert scaled == NewtonDiagram([p.scaled(factor) for p in a.canonical_decomposition()])
+        difference = total - b
+        assert difference == a
+        for d in (a, b, total, scaled, difference):
+            segs = d.segments
+            assert all(s.inclination < t.inclination for s, t in zip(segs, segs[1:]))
+            for v in (*d.shift, *(side for s in segs for side in (s.length, s.height))):
+                assert type(v) is (int if v.denominator == 1 else Fraction)
