@@ -12,7 +12,6 @@ and infinite height is exactly the diagram of x^a, and symmetrically for y.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import merge
 from math import gcd, inf, lcm
 
 from ._value import Value, _num_to_json, _rational
@@ -244,10 +243,9 @@ class NewtonDiagram(Value):
     def __add__(self, other):
         if not isinstance(other, NewtonDiagram):
             return NotImplemented
-        # one linear merge of the two sorted tuples; _normal_form sums equal inclinations
-        merged = merge(self.segments, other.segments, key=lambda s: s.inclination)
-        return NewtonDiagram._of(list(merged), self.shift[0] + other.shift[0],
-                                 self.shift[1] + other.shift[1])
+        # _normal_form sorts the joined tuples and sums equal inclinations
+        return NewtonDiagram._of([*self.segments, *other.segments],
+                                 self.shift[0] + other.shift[0], self.shift[1] + other.shift[1])
 
     def __sub__(self, other):
         if not isinstance(other, NewtonDiagram):

@@ -27,9 +27,9 @@ class NumericError(VerificationError):
 class ContactUndecidableError(PlanebranchError):
     """Series agree through the truncation window; a deeper expansion is needed."""
 
-    def __init__(self, bound, message=None):
+    def __init__(self, bound):
         self.bound = bound
-        super().__init__(message or f"contact undecidable at current depth (>= {bound})")
+        super().__init__(f"contact undecidable at current depth (>= {bound})")
 
 
 class PolyParseError(PlanebranchError, ValueError):

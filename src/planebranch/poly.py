@@ -21,8 +21,8 @@ The module keeps one record, _certified, of the last branch certified,
 with its roots, semigroup, D and rows; branch._am_iteration looks it up
 and writes it, and intersection_multiplicity reads it, for the
 verifier's exact totals among others.  The resultant serves everything
-else: generic pairs, milnor_number, resultant_y itself, and a curve fk
-supplied to the verifier that is no characteristic root of the branch.
+else: generic pairs, milnor_number, resultant_y itself, and the verifier's
+I(J_k, fk) for a supplied fk that is no characteristic root of the branch.
 Both routes build their integer rows with _clear_denominators and divide
 them with _divmod_monic.
 """
@@ -497,10 +497,10 @@ def intersection_multiplicity(f: BiPoly, h: BiPoly):
     a v_0 + sum e_i v_(i+1), so the intersection number is the least value
     that occurs (Abhyankar and Moh, J. reine angew. Math. 260, 1973).
 
-    Otherwise x-power content is split off explicitly and the remaining
-    y-regular parts go through the y-resultant; the value is the local
-    multiplicity whenever one argument is a Weierstrass polynomial times a
-    unit, which covers every use in this package.
+    Otherwise the x-power content is split off and the y-regular parts go
+    through the y-resultant, whose order is the local multiplicity when one
+    argument is a Weierstrass polynomial times a unit.  milnor_number's f_x
+    and f_y need be neither, and then other points (0, c) of x = 0 count.
     """
     for branch, other in ((f, h), (h, f)):
         value = _certified_intersection(branch, other) if other else None

@@ -241,8 +241,8 @@ def _derive(coeffs):
     return [i * c for i, c in enumerate(coeffs)][1:]
 
 
-def _newton_polish(psi, dpsi, z, rounds=8):
-    for _ in range(rounds):
+def _newton_polish(psi, dpsi, z):
+    for _ in range(8):
         dv = _horner(dpsi, z)
         if dv == 0:
             return None
@@ -818,14 +818,15 @@ class _Decomposition:
     The constructor does the exact set-up once: one Abhyankar-Moh iteration
     for both the semigroup of f and its characteristic roots, the genus,
     index and fk checks, one jacobian determinant per k, and the depth
-    b_g/b_0 + 1 that every k shares.  A supplied fk with no index given is
-    a root of the one index whose degree b_0/l_k it has; that degree
-    strictly increases with k.  indices lists the k to decompose, None
-    meaning 0..g-1, or the index of fk when one is supplied.  Per k,
-    roots[k] is the curve of maximal contact and jacobians[k] the jacobian
-    of (roots[k], f).
+    b_g/b_0 + 1 that every k shares.  A supplied fk is accepted here or
+    never: at the index k of its degree b_0/l_k, which strictly increases
+    with k, when I(f, fk) = v_(k+1), read off an expansion in f's roots.
+    indices lists the k to decompose, None meaning 0..g-1, or the index of
+    fk when one is supplied.  Per k, roots[k] is the curve of maximal
+    contact and jacobians[k] the jacobian of (roots[k], f).
 
-    measure(ctx) is the numeric work at one precision tier.  Each caller
+    measure(ctx) is the numeric work at one precision tier, the same for
+    every k; the depth is its one input from the semigroup.  Each caller
     runs it under _with_escalation, so an escalation at any k reruns every
     k at the next tier, with whatever the caller measures beside it.
     Every contact is compared as an integer over a common multiple of the
@@ -840,8 +841,7 @@ class _Decomposition:
         for k in indices or ():
             _check_index(s, k)
         degrees = [s.multiplicity // s.gcds[k] for k in range(g)]
-        self.fk_given = fk is not None
-        if self.fk_given:
+        if fk is not None:
             if not fk.is_weierstrass():
                 raise ValidationError("the supplied root must be a Weierstrass polynomial")
             if indices is None:
@@ -857,6 +857,16 @@ class _Decomposition:
                         f"the supplied root has y-degree {fk.deg_y()}, index {k} "
                         f"requires {degrees[k]}"
                     )
+                # I(f, fk) sums a strictly increasing function of the contact
+                # with f over the d = b_0/l_k roots of fk.  No root passes
+                # b_(k+1)/b_0, which needs ramification b_0/l_(k+1) > d, so
+                # I(f, fk) <= I(f, f_k) = v_(k+1), equal exactly when every
+                # root reaches b_(k+1)/b_0: each then has ramification d, so
+                # fk is irreducible, its roots conjugate
+                if (meet := intersection_multiplicity(f, fk)) != s.generators[k + 1]:
+                    raise ValidationError(f"the supplied root has intersection number {meet} with "
+                                          f"the branch, not v_{k + 1} = {s.generators[k + 1]}; "
+                                          f"it is not a curve of maximal contact of index {k}")
             self.roots = dict.fromkeys(indices, fk)
         else:
             self.roots = {k: char_roots[k] for k in (range(g) if indices is None else indices)}
@@ -878,11 +888,11 @@ class _Decomposition:
         """Contact classes of the jacobian roots of index k, the deep roots'
         counts at their own contact with f_k or more with each root of f,
         and the diagram of (f_k, f), all from measured contacts and none
-        from the semigroup.  Every root of f_k meets f at exactly b_(k+1)/b_0
-        and contact is ultrametric, so a root meeting f at tau above its
-        contact tau_k with f_k meets f_k at exactly b_(k+1)/b_0: it is deep,
-        in the class of tau.  Every other root, tau_k = inf included, meets
-        f and f_k alike and is residual."""
+        from the semigroup.  Every root of f_k, certified in the set-up,
+        meets f at exactly b_(k+1)/b_0 and contact is ultrametric, so a root
+        meeting f at tau above its contact tau_k with f_k meets f_k at
+        exactly b_(k+1)/b_0: it is deep, in the class of tau.  Every other
+        root, tau_k = inf included, meets f and f_k alike and is residual."""
         alpha, j1 = self.jacobians[k].x_content()
         # _expand escalates unless it finds every root, so no count of
         # sigma, sigma_k or gamma needs a check here, and the counts of
@@ -891,14 +901,6 @@ class _Decomposition:
         gamma = _expand_bipoly(ctx, j1, self.depth)
         # a list: star-arguments from a generator build a resized tuple, which grows RSS
         den = lcm(*[ps._den for ps in sigma + sigma_k + gamma])
-        if self.fk_given:
-            best = _ratio(max(map(max, _decided_contacts(ctx, sigma_k, sigma, den,
-                                                         "validating the supplied root"))), den)
-            expected = Fraction(self.exponents[k + 1], self.exponents[0])
-            if best != expected:
-                raise ValidationError(f"supplied polynomial has contact {best} with the branch, "
-                                      f"expected {expected}; it is not a curve of maximal "
-                                      f"contact of index {k}")
         o_f = _decided_contacts(ctx, gamma, sigma, den, "jacobian root against f")
         o_fk = _decided_contacts(ctx, gamma, sigma_k, den,
                                  "jacobian root against the approximate root")
@@ -991,10 +993,10 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
     must lie one at each such b_j/b_0 and hold the predicted root counts.
     The exact totals come from intersection_multiplicity, which reads them
     off the expansion in the characteristic roots of the branch just certified;
-    only a supplied fk that is none of those roots takes the resultant.  A
-    supplied fk without k is checked at the one index whose degree b_0/l_k
-    it has.  Returns the full report; raises VerificationError on any
-    failure.
+    only I(J_k, fk) for a supplied fk that is none of them takes the
+    resultant.  A supplied fk is accepted exactly, before any numeric work
+    (see _Decomposition).  Returns the full report; raises
+    VerificationError on any failure.
     """
     dec = _Decomposition(f, None if k is None else [k], fk)
     s = dec.s

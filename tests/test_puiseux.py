@@ -1,5 +1,6 @@
 """Numeric Newton-Puiseux engine and the decomposition cross-checks."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd, inf
@@ -505,6 +506,61 @@ def test_oracle_accepts_any_maximal_contact_curve():
     # the diagram must not depend on which curve of maximal contact is used
     alt = parse_poly("y^2-x^3-x^4")
     assert jnd_oracle(BRANCH_4_6_13, 1, fk=alt) == D([E(28, 14)])
+
+
+def _root_candidates(roots, s, k):
+    """Weierstrass polynomials of the degree b_0/l_k of the k-th root: the
+    root itself, the root plus x^a y^j, y^d - x^e, and products of roots."""
+    d = roots[k].deg_y()
+    out = [roots[k]]
+    out += [roots[k] + BiPoly.monomial(1, a, j) for a in (1, 2, 3, 5, 8) for j in range(d)]
+    out += [BiPoly.y() ** d - BiPoly.x() ** e for e in range(1, 2 * s.multiplicity + 2)]
+    if k:
+        prev = roots[k - 1]
+        n = d // prev.deg_y()
+        out.append(prev ** n)
+        for a in (1, 4, 9):
+            x_a = BiPoly.monomial(1, a, 0)
+            out += [prev ** n - x_a, (prev - x_a) * prev ** (n - 1)]
+    return out
+
+
+def test_a_supplied_root_is_accepted_exactly_at_maximal_contact():
+    # the set-up accepts fk by the exact I(f, fk) = v_(k+1); the numeric
+    # contact must agree: a curve of degree b_0/l_k is accepted exactly
+    # when it meets f at b_(k+1)/b_0, and then gives the diagram of f_k
+    rng = random.Random(7)
+    verdicts = Counter()
+    for _ in range(40):
+        f, s = random_test_branch(rng, max_degree=8)
+        roots = characteristic_roots(f)
+        b = semigroup_to_char(s).exponents
+        for k in range(s.genus):
+            expected = jnd_oracle(f, k)
+            for c in _root_candidates(roots, s, k):
+                maximal = contact(f, c) == Fraction(b[k + 1], b[0])
+                if maximal:
+                    assert jnd_oracle(f, k, fk=c) == expected, (s, k, c)
+                else:
+                    with pytest.raises(ValidationError, match=f"maximal contact of index {k}"):
+                        jnd_oracle(f, k, fk=c)
+                verdicts[maximal] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50, verdicts
+
+
+def test_a_root_of_wrong_contact_is_rejected_before_any_expansion(monkeypatch):
+    # the supplied root is certified exactly, off its expansion in the roots
+    # of the branch: no Newton-Puiseux expansion and no resultant
+    def refuse(*args):
+        raise AssertionError("the rejection took a numeric or resultant route")
+
+    monkeypatch.setattr(puiseux, "_expand_bipoly", refuse)
+    monkeypatch.setattr(poly, "resultant_y", refuse)
+    for entry in (contact_classes, jnd_oracle, verify_decomposition):
+        with pytest.raises(ValidationError,
+                           match=r"intersection number 12 .* v_2 = 13; it is not a curve of "
+                                 r"maximal contact of index 1"):
+            entry(BRANCH_4_6_13, 1, fk=parse_poly("y^2-x^4"))
 
 
 def test_verify_cycle():
