@@ -45,29 +45,9 @@ def _check_index(s: Semigroup, k: int):
 
 
 def jnd_formula(s: Semigroup, k: int) -> NewtonDiagram:
-    """Jacobian Newton diagram of the pair (k-th approximate root, branch).
-
-    Lengths are intersection numbers with the branch, heights with the
-    root.  The leading segment collects everything of contact order below
-    the next characteristic value; each deeper characteristic value
-    contributes one more segment.
-    """
+    """Member k of jnd_family(s), the diagram of (k-th approximate root, branch)."""
     _check_index(s, k)
-    v = s.generators
-    l = s.gcds
-    n = s.n_factors
-    g = s.genus
-    m_bar = v[k + 1] // l[k + 1]
-    # the Milnor number of the k-th approximate root, whose semigroup is
-    # v_0 / l_k, ..., v_k / l_k: Semigroup.milnor on those generators
-    mu_k = (sum((n[q - 1] - 1) * v[q] for q in range(1, k + 1)) - v[0]) // l[k] + 1
-    lead_height = mu_k + m_bar - 1
-    segments = [ElementarySegment(l[k] * lead_height, lead_height)]
-    cofactor = m_bar
-    for i in range(k + 2, g + 1):
-        segments.append(ElementarySegment((n[i - 1] - 1) * v[i], cofactor * (n[i - 1] - 1)))
-        cofactor *= n[i - 1]
-    return NewtonDiagram._of(segments, 0, 0)
+    return jnd_family(s)[k]
 
 
 def jacobian_invariants(s: Semigroup, k: int) -> tuple:
@@ -138,9 +118,28 @@ class JndFamily(Value):
 
 
 def jnd_family(s: Semigroup) -> JndFamily:
-    """The full family of approximate jacobian Newton diagrams of a branch."""
+    """The full family of approximate jacobian Newton diagrams of a branch.
+
+    Member k is the diagram of (k-th approximate root, branch), lengths
+    intersection numbers with the branch and heights with the root.  With
+    w = (mu_k - 1) l_k = sum_(q<=k) (n_q - 1) v_q - v_0, mu_k the root's
+    Milnor number, it leads with {l_k H \\ H}, H = w/l_k + v_(k+1)/l_(k+1),
+    all of contact below the next characteristic value; each deeper index
+    i = k+2..g adds {(n_i - 1) v_i \\ (n_i - 1) v_(k+1)/l_(i-1)}, integral as
+    l_(i-1) divides v_(k+1).  At k = -1 the tail is Merle's polar diagram.
+    """
     _check_semigroup(s)
-    return JndFamily(s, (jnd_formula(s, k) for k in range(s.genus)))
+    v, l, n = s.generators, s.gcds, s.n_factors
+    w = -v[0]
+    diagrams = []
+    for k in range(s.genus):
+        lead = w // l[k] + v[k + 1] // l[k + 1]
+        diagrams.append(NewtonDiagram._of(
+            [ElementarySegment(l[k] * lead, lead)]
+            + [ElementarySegment((n[i - 1] - 1) * v[i], (n[i - 1] - 1) * (v[k + 1] // l[i - 1]))
+               for i in range(k + 2, s.genus + 1)], 0, 0))
+        w += (n[k] - 1) * v[k + 1]
+    return JndFamily(s, diagrams)
 
 
 def family_from_json_dict(data):

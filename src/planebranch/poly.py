@@ -499,8 +499,8 @@ def intersection_multiplicity(f: BiPoly, h: BiPoly):
 
     Otherwise the x-power content is split off and the y-regular parts go
     through the y-resultant, whose order is the local multiplicity when one
-    argument is a Weierstrass polynomial times a unit.  milnor_number's f_x
-    and f_y need be neither, and then other points (0, c) of x = 0 count.
+    argument is a Weierstrass polynomial times a unit.  For other pairs
+    other points (0, c) of x = 0 count too; milnor_number rejects such f_x, f_y.
     """
     for branch, other in ((f, h), (h, f)):
         value = _certified_intersection(branch, other) if other else None
@@ -601,7 +601,8 @@ def _least_value(r, roots, w):
 
 
 def milnor_number(f: BiPoly) -> int:
-    """Milnor number of an isolated singularity at the origin."""
+    """Milnor number of an isolated singularity at the origin; ValidationError
+    where the resultant it reads may also count other points of x = 0."""
     if f.is_zero():
         raise ValidationError("milnor_number of the zero polynomial")
     if f.coefficient(0, 0):
@@ -613,6 +614,17 @@ def milnor_number(f: BiPoly) -> int:
         if p.coefficient(0, 0):
             return 0
         raise ValidationError("non-isolated singularity (infinite Milnor number)")
+    (a, p), (b, q) = fx.x_content(), fy.x_content()
+    if not (fx.coefficient(0, 0) or fy.coefficient(0, 0) or a and b) and min(p.deg_y(), q.deg_y()):
+        # ord_x Res_y(p, q) is the local number when no intersection escapes
+        # to infinity over x = 0, as a y-leading coefficient nonzero at x = 0
+        # ensures, and p(0, y), q(0, y) share no root but 0
+        at0 = [_raw({(0, j): c for (i, j), c in r._terms.items() if not i}).y_content()[1]
+               for r in (p, q)]
+        if not (p.coefficient(0, p.deg_y()) or q.coefficient(0, q.deg_y())) or (
+                min(r.deg_y() for r in at0) and resultant_y(*at0).is_zero()):
+            raise ValidationError("milnor_number cannot isolate the origin: f_x and f_y may "
+                                  "also meet on x = 0 away from it")
     m = intersection_multiplicity(fx, fy)
     if m is inf:
         raise ValidationError("non-isolated singularity (infinite Milnor number)")

@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
     VerificationError,
 )
-from .jacobian import _check_index, jnd_formula
+from .jacobian import _check_index, jnd_family
 from .poly import BiPoly, intersection_multiplicity, jacobian_det
 
 __all__ = [
@@ -1013,6 +1013,7 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
 
     measured, den, conjugates = _with_escalation(worker)
     unit = den // b0
+    family = jnd_family(s)
     report = []
 
     def check(name, ok, detail=""):
@@ -1023,9 +1024,8 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
 
     for kk, (classes, jac_counts, diagram) in measured.items():
         tag = f"k={kk}"
-        predicted = jnd_formula(s, kk)
-        check(f"{tag}: oracle diagram matches formula", diagram == predicted,
-              f"{diagram} vs {predicted}")
+        check(f"{tag}: oracle diagram matches formula", diagram == family[kk],
+              f"{diagram} vs {family[kk]}")
 
         # a conjugate contact of a branch is a characteristic exponent b_j/b_0,
         # shared with l_(j-1) - l_j conjugates whichever the root

@@ -110,8 +110,8 @@ def test_roots_json(capsys):
 
 
 def test_jnd_verify_failure_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(puiseux, "jnd_formula",
-                        lambda s, k: NewtonDiagram([ElementarySegment(1, 1)]))
+    monkeypatch.setattr(puiseux, "jnd_family",
+                        lambda s: [NewtonDiagram([ElementarySegment(1, 1)])] * s.genus)
     code, out, err = run(capsys, "jnd", "--f", F2, "--verify")
     assert code == 2 and err.startswith("error: decomposition checks failed")
     assert "[ok]" not in out

@@ -23,6 +23,7 @@ from planebranch import (
     recover_semigroup,
     recovery_data,
 )
+import planebranch.jacobian as jacobian
 
 E = ElementarySegment
 D = NewtonDiagram
@@ -232,6 +233,19 @@ def test_family_matches_the_fraction_reference():
             for seg in d.segments:
                 assert _stored(seg.length) and _stored(seg.height)
                 assert type(seg.inclination) is Fraction
+
+
+def test_family_is_one_loop(monkeypatch):
+    # the family reads no member through the per-index entry point
+    def refused(*args):
+        raise AssertionError(f"per-index call {args}")
+
+    monkeypatch.setattr(jacobian, "jnd_formula", refused)
+    monkeypatch.setattr(jacobian, "_check_index", refused)
+    gens = (32, 48, 132, 538, 1077)
+    fam = jnd_family(Semigroup(gens))
+    assert [[(seg.length, seg.height) for seg in d.segments] for d in fam] == [
+        jnd_by_fractions(gens, k) for k in range(4)]
 
 
 def test_malformed_family_arguments_are_typed_errors():

@@ -434,6 +434,13 @@ def test_milnor_rejects_nonisolated():
         milnor_number(x() * y(2))
 
 
+def test_milnor_rejects_a_resultant_that_counts_other_points():
+    # a node at the origin, mu 1; f_x and f_y also meet at (0, 1), which
+    # ord_x of their resultant would count too
+    with pytest.raises(ValidationError, match="cannot isolate the origin"):
+        milnor_number(y(2) * (y() - 1) ** 2 + x() * y() * (y() - 1) + x(3))
+
+
 def test_milnor_rejects_the_zero_polynomial_and_a_unit():
     with pytest.raises(ValidationError, match="zero polynomial"):
         milnor_number(BiPoly.zero())

@@ -578,6 +578,36 @@ def test_verify_cycle():
         verify_cycle(parse_poly("y^2-x^2"))
 
 
+def test_verify_cycle_reports_a_failed_check():
+    # <4, 6, 13> reaches ramification 4 only at its last exponent 7/4,
+    # which an expansion to depth 7/4 leaves out
+    with pytest.raises(VerificationError,
+                       match=r"^cycle verification failed: \['ramification'\]$"):
+        verify_cycle(BRANCH_4_6_13, depth="7/4")
+
+
+def test_undecided_contacts_escalate():
+    # two series that agree on all they know, up to x^2 and x^(5/2)
+    a = PuiseuxSeries([(Fraction(3, 2), 1.0)], Fraction(2))
+    b = PuiseuxSeries([(Fraction(3, 2), 1.0)], Fraction(5, 2))
+    with pytest.raises(puiseux._EscalationNeeded, match=r"^twins: contact undecided at bound 2$"):
+        puiseux._decided_contacts(puiseux.NumericContext(), [a], [b], 2, "twins")
+
+
+def test_a_fractional_total_escalates():
+    assert puiseux._int_or_escalate(6, 2, "length") == 3
+    with pytest.raises(puiseux._EscalationNeeded,
+                       match=r"^length summed to the non-integer 5/2$"):
+        puiseux._int_or_escalate(5, 2, "length")
+
+
+def test_verify_decomposition_builds_one_family(monkeypatch):
+    calls, family = [], puiseux.jnd_family
+    monkeypatch.setattr(puiseux, "jnd_family", lambda s: calls.append(s) or family(s))
+    verify_decomposition(BRANCH_6_8_27)
+    assert calls == [Semigroup((6, 8, 27))]
+
+
 def test_verify_decomposition_full():
     report = verify_decomposition(BRANCH_4_6_13)
     assert len(report) == 18
@@ -674,7 +704,7 @@ def test_decomposition_runs_the_am_iteration_once(monkeypatch):
 
 
 def test_verify_decomposition_raises_on_a_failed_check(monkeypatch):
-    monkeypatch.setattr(puiseux, "jnd_formula", lambda s, k: D([E(1, 1)]))
+    monkeypatch.setattr(puiseux, "jnd_family", lambda s: [D([E(1, 1)])] * s.genus)
     with pytest.raises(VerificationError,
                        match="decomposition checks failed: k=0: oracle diagram matches formula"):
         verify_decomposition(BRANCH_4_6_13)
