@@ -34,7 +34,6 @@ from .errors import (
 from .fixtures import COLLIDING_PAIRS
 from .jacobian import (
     family_from_json_dict,
-    jacobian_invariants,
     jnd_family,
     recovery_data,
 )
@@ -177,7 +176,8 @@ def cmd_invariants(args) -> int:
     if s.genus == 0:
         raise ValidationError("a smooth branch has no jacobian invariants")
     ks = _k_range(args.k, s.genus)
-    rows = [(k, jacobian_invariants(s, k)) for k in ks]
+    family = jnd_family(s)
+    rows = [(k, [seg.inclination for seg in family[k].segments]) for k in ks]
     if args.json:
         print(json.dumps({
             "semigroup": list(s.generators),

@@ -426,8 +426,6 @@ def diagram_difference(a: NewtonDiagram, b: NewtonDiagram) -> NewtonDiagram:
         ht = match.height - seg.height
         if ln < 0 or ht < 0:
             raise ValidationError(f"cannot subtract {seg} from the shorter face {match}")
-        if (ln == 0) != (ht == 0):
-            raise ValidationError(f"subtracting {seg} from {match} leaves a degenerate face")
         if ln:
             remaining.append(ElementarySegment(ln, ht))
     remaining.extend(faces)

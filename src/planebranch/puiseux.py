@@ -807,133 +807,126 @@ def _jacobian_diagram(ord_f, ord_fk, den, alpha, deg_f, deg_fk) -> NewtonDiagram
         for (p, q), (a, b) in sums.items()])
 
 
-def _verifier_depth(exponents) -> Fraction:
-    """b_g/b_0 + 1, the depth of both verifiers, from (b_0; ..., b_g)."""
-    return Fraction(exponents[-1], exponents[0]) + 1
+def _verifier_depth(s) -> Fraction:
+    """b_g/b_0 + 1, the depth of both verifiers, from the semigroup."""
+    b = semigroup_to_char(s).exponents
+    return Fraction(b[-1], b[0]) + 1
 
 
-class _Decomposition:
-    """Merle's polar decomposition of one branch, for each requested index k.
+def _setup(f: BiPoly, k=None, fk: BiPoly | None = None):
+    """The exact half of Merle's polar decomposition of one branch: its
+    semigroup s, from the one Abhyankar-Moh iteration that also gives its
+    characteristic roots, and roots, mapping each index k to (f_k, J_k), a
+    curve of maximal contact and the jacobian of (f_k, f).  The indices
+    are 0..g-1 when k is None, or k, or the index of a supplied fk, which
+    is accepted here or never: at the index of its degree b_0/l_k, which
+    strictly increases with k, when I(f, fk) = v_(k+1), read off an
+    expansion in f's roots."""
+    s, char_roots = _am_iteration(f)
+    g = s.genus
+    if g == 0:
+        raise ValidationError("a smooth branch has no jacobian decomposition")
+    if k is not None:
+        _check_index(s, k)
+    if fk is None:
+        roots = {i: char_roots[i] for i in (range(g) if k is None else [k])}
+    else:
+        degrees = [s.multiplicity // s.gcds[i] for i in range(g)]
+        if not fk.is_weierstrass():
+            raise ValidationError("the supplied root must be a Weierstrass polynomial")
+        if k is None:
+            if fk.deg_y() not in degrees:
+                raise ValidationError(
+                    f"the supplied root has y-degree {fk.deg_y()}; a curve of maximal "
+                    f"contact of index 0..{g - 1} has y-degree {degrees} respectively"
+                )
+            k = degrees.index(fk.deg_y())
+        if fk.deg_y() != degrees[k]:
+            raise ValidationError(
+                f"the supplied root has y-degree {fk.deg_y()}, index {k} "
+                f"requires {degrees[k]}"
+            )
+        # I(f, fk) sums a strictly increasing function of the contact
+        # with f over the d = b_0/l_k roots of fk.  No root passes
+        # b_(k+1)/b_0, which needs ramification b_0/l_(k+1) > d, so
+        # I(f, fk) <= I(f, f_k) = v_(k+1), equal exactly when every
+        # root reaches b_(k+1)/b_0: each then has ramification d, so
+        # fk is irreducible, its roots conjugate
+        if (meet := intersection_multiplicity(f, fk)) != s.generators[k + 1]:
+            raise ValidationError(f"the supplied root has intersection number {meet} with "
+                                  f"the branch, not v_{k + 1} = {s.generators[k + 1]}; "
+                                  f"it is not a curve of maximal contact of index {k}")
+        roots = {k: fk}
+    roots = {i: (fk_i, jacobian_det(fk_i, f)) for i, fk_i in roots.items()}
+    if any(jac.is_zero() for _, jac in roots.values()):
+        raise ValidationError("the jacobian determinant vanishes identically")
+    return s, roots
 
-    The constructor does the exact set-up once: one Abhyankar-Moh iteration
-    for both the semigroup of f and its characteristic roots, the genus,
-    index and fk checks, one jacobian determinant per k, and the depth
-    b_g/b_0 + 1 that every k shares.  A supplied fk is accepted here or
-    never: at the index k of its degree b_0/l_k, which strictly increases
-    with k, when I(f, fk) = v_(k+1), read off an expansion in f's roots.
-    indices lists the k to decompose, None meaning 0..g-1, or the index of
-    fk when one is supplied.  Per k, roots[k] is the curve of maximal
-    contact and jacobians[k] the jacobian of (roots[k], f).
 
-    measure(ctx) is the numeric work at one precision tier, the same for
-    every k; the depth is its one input from the semigroup.  Each caller
-    runs it under _with_escalation, so an escalation at any k reruns every
-    k at the next tier, with whatever the caller measures beside it.
-    Every contact is compared as an integer over a common multiple of the
-    denominators of the series involved.
-    """
+def _measure(ctx, f: BiPoly, roots, depth):
+    """The numeric half at one precision tier, the same for every k: f's
+    roots sigma, expanded once, and per k of roots the (classes, jac_counts,
+    diagram) triple of _classify against them.  The depth is its one input
+    from the semigroup.  Each caller runs it under _with_escalation, so an
+    escalation at any k reruns every k, with whatever the caller measures
+    beside it, at the next tier."""
+    sigma = _expand_bipoly(ctx, f, depth)
+    return sigma, {k: _classify(ctx, sigma, fk, jac, depth) for k, (fk, jac) in roots.items()}
 
-    def __init__(self, f: BiPoly, indices=None, fk: BiPoly | None = None):
-        s, char_roots = _am_iteration(f)
-        g = s.genus
-        if g == 0:
-            raise ValidationError("a smooth branch has no jacobian decomposition")
-        for k in indices or ():
-            _check_index(s, k)
-        degrees = [s.multiplicity // s.gcds[k] for k in range(g)]
-        if fk is not None:
-            if not fk.is_weierstrass():
-                raise ValidationError("the supplied root must be a Weierstrass polynomial")
-            if indices is None:
-                if fk.deg_y() not in degrees:
-                    raise ValidationError(
-                        f"the supplied root has y-degree {fk.deg_y()}; a curve of maximal "
-                        f"contact of index 0..{g - 1} has y-degree {degrees} respectively"
-                    )
-                indices = [degrees.index(fk.deg_y())]
-            for k in indices:
-                if fk.deg_y() != degrees[k]:
-                    raise ValidationError(
-                        f"the supplied root has y-degree {fk.deg_y()}, index {k} "
-                        f"requires {degrees[k]}"
-                    )
-                # I(f, fk) sums a strictly increasing function of the contact
-                # with f over the d = b_0/l_k roots of fk.  No root passes
-                # b_(k+1)/b_0, which needs ramification b_0/l_(k+1) > d, so
-                # I(f, fk) <= I(f, f_k) = v_(k+1), equal exactly when every
-                # root reaches b_(k+1)/b_0: each then has ramification d, so
-                # fk is irreducible, its roots conjugate
-                if (meet := intersection_multiplicity(f, fk)) != s.generators[k + 1]:
-                    raise ValidationError(f"the supplied root has intersection number {meet} with "
-                                          f"the branch, not v_{k + 1} = {s.generators[k + 1]}; "
-                                          f"it is not a curve of maximal contact of index {k}")
-            self.roots = dict.fromkeys(indices, fk)
-        else:
-            self.roots = {k: char_roots[k] for k in (range(g) if indices is None else indices)}
-        self.jacobians = {k: jacobian_det(fk_k, f) for k, fk_k in self.roots.items()}
-        if any(jac.is_zero() for jac in self.jacobians.values()):
-            raise ValidationError("the jacobian determinant vanishes identically")
-        self.f = f
-        self.s = s
-        self.exponents = semigroup_to_char(s).exponents
-        self.depth = _verifier_depth(self.exponents)
 
-    def measure(self, ctx):
-        """Expand f once: its roots sigma and, per k, the (classes,
-        jac_counts, diagram) triple of _classify against them."""
-        sigma = _expand_bipoly(ctx, self.f, self.depth)
-        return sigma, {k: self._classify(ctx, sigma, k) for k in self.roots}
-
-    def _classify(self, ctx, sigma, k):
-        """Contact classes of the jacobian roots of index k, the deep roots'
-        counts at their own contact with f_k or more with each root of f,
-        and the diagram of (f_k, f), all from measured contacts and none
-        from the semigroup.  Every root of f_k, certified in the set-up,
-        meets f at exactly b_(k+1)/b_0 and contact is ultrametric, so a root
-        meeting f at tau above its contact tau_k with f_k meets f_k at
-        exactly b_(k+1)/b_0: it is deep, in the class of tau.  Every other
-        root, tau_k = inf included, meets f and f_k alike and is residual."""
-        alpha, j1 = self.jacobians[k].x_content()
-        # _expand escalates unless it finds every root, so no count of
-        # sigma, sigma_k or gamma needs a check here, and the counts of
-        # sigma and sigma_k are the y-degrees, I(x, f) and I(x, f_k)
-        sigma_k = _expand_bipoly(ctx, self.roots[k], self.depth)
-        gamma = _expand_bipoly(ctx, j1, self.depth)
-        # a list: star-arguments from a generator build a resized tuple, which grows RSS
-        den = lcm(*[ps._den for ps in sigma + sigma_k + gamma])
-        o_f = _decided_contacts(ctx, gamma, sigma, den, "jacobian root against f")
-        o_fk = _decided_contacts(ctx, gamma, sigma_k, den,
-                                 "jacobian root against the approximate root")
-        # I(gamma, f) and I(gamma, f_k) of each jacobian root, over den
-        ord_f = [sum(row) for row in o_f]
-        ord_fk = [sum(row) for row in o_fk]
-        keys = [tau if tau > tau_k else None for tau, tau_k in zip(map(max, o_f), map(max, o_fk))]
-        # one class per key, roots in gamma order: None for the residual
-        # class, present even when empty, then the deep ones by contact
-        members = {key: [i for i, ki in enumerate(keys) if ki == key]
-                   for key in [None, *sorted(set(keys) - {None})]}
-        classes = []
-        for pos, (key, idxs) in enumerate(members.items()):
-            # the residual class also takes the factor x^alpha of the jacobian
-            x_power = alpha if key is None else 0
-            tau = None if key is None else Fraction(key, den)
-            what = "residual class {}" if key is None else f"class {{}} at contact {tau}"
-            f_sum = x_power * len(sigma) * den + sum(ord_f[i] for i in idxs)
-            fk_sum = x_power * len(sigma_k) * den + sum(ord_fk[i] for i in idxs)
-            classes.append(ContactClass(pos, tau, [gamma[i] for i in idxs], x_power,
-                                        _int_or_escalate(f_sum, den, what.format("length")),
-                                        _int_or_escalate(fk_sum, den, what.format("height"))))
-        deep = [(row, max(row_k)) for row, row_k, key in zip(o_f, o_fk, keys) if key is not None]
-        jac_counts = [sum(row[s_idx] >= tau_k for row, tau_k in deep)
-                      for s_idx in range(len(sigma))]
-        diagram = _jacobian_diagram(ord_f, ord_fk, den, alpha, len(sigma), len(sigma_k))
-        return classes, jac_counts, diagram
+def _classify(ctx, sigma, fk: BiPoly, jac: BiPoly, depth):
+    """Contact classes of the roots of jac, the jacobian of (fk, f), the
+    deep roots' counts at their own contact with fk or more with each root
+    of f, and the diagram of (fk, f), all from measured contacts and none
+    from the semigroup; sigma are the roots of f.  Every root of fk,
+    certified in the set-up, meets f at exactly b_(k+1)/b_0 and contact is
+    ultrametric, so a root meeting f at tau above its contact tau_k with
+    fk meets fk at exactly b_(k+1)/b_0: it is deep, in the class of tau.
+    Every other root, tau_k = inf included, meets f and fk alike and is
+    residual.  Every contact is compared as an integer over a common
+    multiple of the denominators of the series involved."""
+    alpha, j1 = jac.x_content()
+    # _expand escalates unless it finds every root, so no count of
+    # sigma, sigma_k or gamma needs a check here, and the counts of
+    # sigma and sigma_k are the y-degrees, I(x, f) and I(x, f_k)
+    sigma_k = _expand_bipoly(ctx, fk, depth)
+    gamma = _expand_bipoly(ctx, j1, depth)
+    # a list: star-arguments from a generator build a resized tuple, which grows RSS
+    den = lcm(*[ps._den for ps in sigma + sigma_k + gamma])
+    o_f = _decided_contacts(ctx, gamma, sigma, den, "jacobian root against f")
+    o_fk = _decided_contacts(ctx, gamma, sigma_k, den,
+                             "jacobian root against the approximate root")
+    # I(gamma, f) and I(gamma, f_k) of each jacobian root, over den
+    ord_f = [sum(row) for row in o_f]
+    ord_fk = [sum(row) for row in o_fk]
+    keys = [tau if tau > tau_k else None for tau, tau_k in zip(map(max, o_f), map(max, o_fk))]
+    # one class per key, roots in gamma order: None for the residual
+    # class, present even when empty, then the deep ones by contact
+    members = {key: [i for i, ki in enumerate(keys) if ki == key]
+               for key in [None, *sorted(set(keys) - {None})]}
+    classes = []
+    for pos, (key, idxs) in enumerate(members.items()):
+        # the residual class also takes the factor x^alpha of the jacobian
+        x_power = alpha if key is None else 0
+        tau = None if key is None else Fraction(key, den)
+        what = "residual class {}" if key is None else f"class {{}} at contact {tau}"
+        f_sum = x_power * len(sigma) * den + sum(ord_f[i] for i in idxs)
+        fk_sum = x_power * len(sigma_k) * den + sum(ord_fk[i] for i in idxs)
+        classes.append(ContactClass(pos, tau, [gamma[i] for i in idxs], x_power,
+                                    _int_or_escalate(f_sum, den, what.format("length")),
+                                    _int_or_escalate(fk_sum, den, what.format("height"))))
+    deep = [(row, max(row_k)) for row, row_k, key in zip(o_f, o_fk, keys) if key is not None]
+    jac_counts = [sum(row[s_idx] >= tau_k for row, tau_k in deep)
+                  for s_idx in range(len(sigma))]
+    diagram = _jacobian_diagram(ord_f, ord_fk, den, alpha, len(sigma), len(sigma_k))
+    return classes, jac_counts, diagram
 
 
 def contact_classes(f: BiPoly, k: int, fk: BiPoly | None = None):
     """Decompose the jacobian of (k-th root, f) by contact with the branch."""
-    _, measured = _with_escalation(_Decomposition(f, [k], fk).measure)
-    return measured[k][0]
+    s, roots = _setup(f, k, fk)
+    depth = _verifier_depth(s)
+    return _with_escalation(lambda ctx: _measure(ctx, f, roots, depth))[1][k][0]
 
 
 def jnd_oracle(f: BiPoly, k: int, fk: BiPoly | None = None) -> NewtonDiagram:
@@ -944,8 +937,9 @@ def jnd_oracle(f: BiPoly, k: int, fk: BiPoly | None = None) -> NewtonDiagram:
     of its contacts with the roots of f and of f_k; the factor x^alpha of
     the jacobian contributes {alpha*deg_y f \\ alpha*deg_y f_k}.
     """
-    _, measured = _with_escalation(_Decomposition(f, [k], fk).measure)
-    return measured[k][2]
+    s, roots = _setup(f, k, fk)
+    depth = _verifier_depth(s)
+    return _with_escalation(lambda ctx: _measure(ctx, f, roots, depth))[1][k][2]
 
 
 def verify_cycle(f: BiPoly, depth=None):
@@ -960,7 +954,7 @@ def verify_cycle(f: BiPoly, depth=None):
     s = semigroup_of(f)
     b0 = s.multiplicity
     if depth is None:
-        depth = _verifier_depth(semigroup_to_char(s).exponents)
+        depth = _verifier_depth(s)
     series = puiseux_expand(f, depth)
     report = []
     report.append(("root count", len(series) == f.deg_y(),
@@ -995,19 +989,19 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
     off the expansion in the characteristic roots of the branch just certified;
     only I(J_k, fk) for a supplied fk that is none of them takes the
     resultant.  A supplied fk is accepted exactly, before any numeric work
-    (see _Decomposition).  Returns the full report; raises
-    VerificationError on any failure.
+    (see _setup).  Returns the full report; raises VerificationError on
+    any failure.
     """
-    dec = _Decomposition(f, None if k is None else [k], fk)
-    s = dec.s
-    b = dec.exponents
+    s, roots = _setup(f, k, fk)
+    depth = _verifier_depth(s)
+    b = semigroup_to_char(s).exponents
     b0 = b[0]
     g = s.genus
     l = s.gcds
     n = s.n_factors
 
     def worker(ctx):
-        sigma, measured = dec.measure(ctx)
+        sigma, measured = _measure(ctx, f, roots, depth)
         den = lcm(b0, *(sa._den for sa in sigma))
         return measured, den, _decided_contacts(ctx, sigma, sigma, den, "conjugate roots of f")
 
@@ -1072,8 +1066,9 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
             f"{length_total} vs {s.milnor() + v_next - 1}",
         )
 
-        exact_len = intersection_multiplicity(dec.jacobians[kk], f)
-        exact_ht = intersection_multiplicity(dec.jacobians[kk], dec.roots[kk])
+        fk_k, jac = roots[kk]
+        exact_len = intersection_multiplicity(jac, f)
+        exact_ht = intersection_multiplicity(jac, fk_k)
         check(f"{tag}: exact length total", exact_len == length_total,
               f"{exact_len} vs {length_total}")
         check(f"{tag}: exact height total", exact_ht == height_total,

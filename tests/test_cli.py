@@ -10,6 +10,7 @@ from planebranch import (
     NewtonDiagram,
     characteristic_roots,
     cli,
+    jacobian,
     parse_poly,
     puiseux,
 )
@@ -255,6 +256,22 @@ def test_invariants(capsys):
         "semigroup": [4, 6, 13],
         "invariants": [{"k": 0, "values": [4, "13/3"]}, {"k": 1, "values": [2]}],
     }
+
+
+def test_invariants_build_one_family(capsys, monkeypatch):
+    # every row reads its inclinations off one family, whatever the genus
+    builds = []
+    build = jacobian.jnd_family
+
+    def counted(s):
+        builds.append(s)
+        return build(s)
+
+    monkeypatch.setattr(jacobian, "jnd_family", counted)
+    monkeypatch.setattr(cli, "jnd_family", counted)
+    code, out, _ = run(capsys, "invariants", "--semigroup", "32,48,132,538,1077")
+    assert code == 0 and len(out.splitlines()) == 4
+    assert len(builds) == 1
 
 
 def test_integer_flags_take_ascii_digits_only(capsys):

@@ -326,6 +326,10 @@ def test_render_ascii_size_does_not_grow_with_the_generators():
     # fractional vertices count after scaling: (1/2, 0) makes the height 400
     art = NewtonDiagram([E("1/2", 200)]).render_ascii()
     assert art.startswith("vertices: (0, 200) -> (1/2, 0)\n")
+    # below the limit the grid is drawn at the scale that makes them integral
+    art = NewtonDiagram([E("1/2", 1)]).render_ascii()
+    assert art.splitlines()[:3] == ["  2 * .", "  1 . .", "  0 . *"]
+    assert art.endswith("(coordinates scaled by 2)")
 
 
 def test_scaled():

@@ -23,6 +23,7 @@ from planebranch import (
     recover_semigroup,
     recovery_data,
 )
+import planebranch.cli as cli
 import planebranch.jacobian as jacobian
 
 E = ElementarySegment
@@ -156,6 +157,38 @@ def test_family_json_rejects_partial_or_mismatched():
     dup = {"diagrams": [fam["diagrams"][0], fam["diagrams"][0]]}
     with pytest.raises(ValidationError):
         family_from_json_dict(dup)
+
+
+# the errors of reading and recovering a family, as the JSON that `recover`
+# reads; None stands for a JndFamily built with too few diagrams
+_RECOVERY_ERRORS = [
+    ([], "family JSON must be an object"),
+    ({"semigroup": "4,6,13", "diagrams": []}, "family semigroup must be a list of generators"),
+    ({"diagrams": [{"segments": [[8, 2]]}]}, "each family entry needs a diagram index 'k'"),
+    ({"diagrams": [{"k": 0, "segments": [[5, 2]]}]},
+     "inclination of diagram k=0 must be an integer, got 5/2"),
+    ({"diagrams": [{"k": 0, "segments": []}]}, "diagram k=0 is empty"),
+    ({"diagrams": [{"k": 0, "segments": [[8, 2], [13, 3]]}]},
+     "diagram k=0 must be a single segment, found 2"),
+    ({"diagrams": [{"k": 0, "segments": [[1, 1]]}]},
+     "inclination of the last diagram must be >= 2, got 1"),
+    (None, "family of a genus 2 branch needs 2 diagrams, got 1"),
+]
+
+
+@pytest.mark.parametrize("data, message", _RECOVERY_ERRORS)
+def test_recovery_validation_errors(data, message, tmp_path, capsys):
+    with pytest.raises(ValidationError) as exc:
+        if data is None:
+            JndFamily(Semigroup((4, 6, 13)), [D([E(8, 2)])])
+        else:
+            recovery_data(family_from_json_dict(data)[1])
+    assert str(exc.value) == message
+    if data is not None:
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["recover", "--family", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_recovery_frozen():

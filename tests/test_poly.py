@@ -424,6 +424,8 @@ def test_milnor_frozen_cases():
     assert milnor_number((y(2) - x(3)) ** 2 - x(5) * y()) == 16
     assert milnor_number((y(3) - 6 * x(3) * y() - x(4)) ** 2 - 9 * x(9)) == 38
     assert milnor_number(y() - x()) == 0
+    # a smooth germ whose other partial vanishes identically
+    assert milnor_number(y()) == 0 and milnor_number(x()) == 0
 
 
 def test_milnor_rejects_nonisolated():

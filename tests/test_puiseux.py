@@ -56,6 +56,13 @@ def test_cusp_expansion_is_exact():
         assert abs(abs(s.coefficient(Fraction(3, 2))) - 1) < 1e-9
 
 
+def test_order_of_an_empty_series():
+    # the exact zero series starts at infinity; a series known to nothing
+    # below its truncation has no known order
+    assert PuiseuxSeries([], inf).order() == inf
+    assert PuiseuxSeries([], 2).order() is None
+
+
 def test_expansion_input_validation():
     with pytest.raises(ValidationError):
         puiseux_expand(CUSP, 0)
@@ -732,10 +739,10 @@ def test_verify_decomposition_reports_a_wrong_conjugate_profile(monkeypatch):
 
 def test_verify_decomposition_reports_a_wrong_class_size(monkeypatch):
     # <6, 8, 27> at k=0 has one deep class, of 3 roots; drop one of them
-    measure = puiseux._Decomposition.measure
+    measure = puiseux._measure
 
-    def dropped(self, ctx):
-        sigma, measured = measure(self, ctx)
+    def dropped(ctx, f, roots, depth):
+        sigma, measured = measure(ctx, f, roots, depth)
         classes, jac_counts, diagram = measured[0]
         c = classes[-1]
         short = puiseux.ContactClass(c.index, c.contact, c.roots[1:], c.x_power,
@@ -743,7 +750,7 @@ def test_verify_decomposition_reports_a_wrong_class_size(monkeypatch):
         measured[0] = (classes[:-1] + [short], jac_counts, diagram)
         return sigma, measured
 
-    monkeypatch.setattr(puiseux._Decomposition, "measure", dropped)
+    monkeypatch.setattr(puiseux, "_measure", dropped)
     with pytest.raises(VerificationError,
                        match=r"checks failed: k=0: class sizes \(\[2\] vs \[3\]\)$"):
         verify_decomposition(BRANCH_6_8_27)
@@ -751,10 +758,10 @@ def test_verify_decomposition_reports_a_wrong_class_size(monkeypatch):
 
 def test_verify_decomposition_reports_a_wrong_class_contact(monkeypatch):
     # <6, 8, 27> at k=0 has one deep class, at contact b_2/b_0 = 11/6; move it to 5
-    measure = puiseux._Decomposition.measure
+    measure = puiseux._measure
 
-    def moved(self, ctx):
-        sigma, measured = measure(self, ctx)
+    def moved(ctx, f, roots, depth):
+        sigma, measured = measure(ctx, f, roots, depth)
         classes, jac_counts, diagram = measured[0]
         c = classes[-1]
         far = puiseux.ContactClass(c.index, Fraction(5), c.roots, c.x_power,
@@ -762,23 +769,27 @@ def test_verify_decomposition_reports_a_wrong_class_contact(monkeypatch):
         measured[0] = (classes[:-1] + [far], jac_counts, diagram)
         return sigma, measured
 
-    monkeypatch.setattr(puiseux._Decomposition, "measure", moved)
+    monkeypatch.setattr(puiseux, "_measure", moved)
     with pytest.raises(VerificationError,
                        match=r"checks failed: k=0: class sizes \(contacts \[5\] vs \[11/6\]\)$"):
         verify_decomposition(BRANCH_6_8_27)
 
 
 def test_classification_reads_no_semigroup_value():
-    # the classes, counts and diagrams of <6, 8, 27> stay the same when the
-    # decomposition is handed the semigroup and exponents of <4, 6, 13>
-    def measured(dec):
-        return puiseux._with_escalation(dec.measure)[1]
+    # the classes, counts and diagrams of <6, 8, 27> measured on roots and
+    # jacobians built by hand, with no semigroup, are those of the set-up's;
+    # the depth b_2/b_0 + 1 = 11/6 + 1 is the one number handed over
+    f = BRANCH_6_8_27
+    depth = Fraction(17, 6)
+    s, roots = puiseux._setup(f)
+    assert puiseux._verifier_depth(s) == depth
 
-    dec = puiseux._Decomposition(BRANCH_6_8_27)
-    expected = measured(dec)
-    dec.s = Semigroup((4, 6, 13))
-    dec.exponents = semigroup_to_char(dec.s).exponents
-    assert measured(dec) == expected
+    def measured(roots):
+        return puiseux._with_escalation(lambda ctx: puiseux._measure(ctx, f, roots, depth))[1]
+
+    expected = measured(roots)
+    by_hand = {k: (fk, jacobian_det(fk, f)) for k, fk in enumerate(characteristic_roots(f))}
+    assert measured(by_hand) == expected
     assert [len(classes) for classes, _, _ in expected.values()] == [2, 1]
 
 
