@@ -202,11 +202,20 @@ def approximate_root_semigroup(s: Semigroup, k: int) -> Semigroup:
 
 
 def _require_weierstrass(f: BiPoly, who: str):
-    if f.is_zero() or not f.is_monic_in_y():
+    """The checks of is_monic_in_y, deg_y and is_weierstrass, in one walk
+    over f's terms."""
+    n, lead, low = -1, 0, inf  # y-degree, terms at it, least y-power without x
+    for i, j in f._terms:
+        if j >= n:
+            lead = lead + 1 if j == n else 1
+            n = j
+        if not i and j < low:
+            low = j
+    if lead != 1 or f._terms.get((0, n)) != 1:
         raise ValidationError(f"{who} needs a polynomial monic in y")
-    if f.deg_y() < 1:
+    if n < 1:
         raise ValidationError(f"{who} needs a polynomial of y-degree at least 1")
-    if not f.is_weierstrass():
+    if low < n:
         raise ValidationError(
             f"{who} needs a Weierstrass polynomial: coefficients below the "
             "leading power of y must vanish at x = 0"

@@ -10,11 +10,16 @@ Grammar, with whitespace free between tokens but never inside a number:
     uint     := [0-9]+
 
 Multiplication is always explicit: ``2x`` is rejected, ``2*x`` is fine.
+An exponent is a uint: ``x^1/2`` and ``x^6/2`` are rejected alike.
 ``parse_poly`` and ``str(BiPoly)`` round-trip exactly.
 
-A sum costs its terms once: they are collected in one dict, not added to a
-copy of the partial sum.  A power or a product of single monomials is one
-monomial; products and powers of sums go through BiPoly's ring operations.
+A number token carries an int, or a Fraction when it has a slash.  base,
+factor and term build a monomial as a tuple (i, j, c), so a product or a
+power of monomials is integer arithmetic on the tuple.  Only a
+parenthesised sum of more than one term becomes a BiPoly, and products and
+powers with it go through BiPoly's ring operations.  expr collects its
+terms in one dict, not added to a copy of the partial sum, and parse_poly
+makes each coefficient of the whole sum a Fraction once.
 """
 
 import re
@@ -26,37 +31,52 @@ from .poly import BiPoly, _raw
 
 __all__ = ["parse_poly"]
 
-#: the coefficient of x and y; a product or power with it needs no arithmetic
-_ONE = Fraction(1)
-
 # Digits are ASCII only, as the printer writes them: str.isdigit would also
-# take '²' or '٣', which Fraction cannot read or reads as another digit.
-# Whitespace (space, tab, \r, \n) matches no group, so finditer steps over it.
-_TOKEN = re.compile(
-    r"(?P<number>[0-9]+(?:/[0-9]+)?)"  # a slash binds only when digits follow directly
-    r"|(?P<single>[-+*^()xy])"
-    r"|(?P<other>[^ \t\r\n])"
-)
+# take '²' or '٣', which Fraction cannot read or reads as another digit.  A
+# slash binds only when digits follow directly.  split leaves the gaps
+# between tokens, where only whitespace (space, tab, \r, \n) may stand.
+_TOKEN = re.compile(r"([0-9]+(?:/[0-9]+)?|[-+*^()xy])")
+_SPACE = " \t\r\n"
+_SINGLE = frozenset("-+*^()xy")
+
+
+def _poly(value) -> BiPoly:
+    """A monomial (i, j, c) or a BiPoly, as a BiPoly for ring operations."""
+    return _raw({value[:2]: value[2]}) if type(value) is tuple else value
 
 
 class _Parser:
     def __init__(self, text):
         self.text = text
-        self.tokens = []  # (kind, value, offset into text)
-        for m in _TOKEN.finditer(text):
-            kind, value, at = m.lastgroup, m.group(), m.start()
-            if kind == "other":
-                raise self.error(f"unexpected character {value!r}", at)
-            if kind == "number":
-                num, _, den = value.partition("/")
-                den = self.integer(den or "1", at)
-                if den == 0:
-                    raise self.error("zero denominator", at)
-                self.tokens.append((kind, Fraction(self.integer(num, at), den), at))
+        self.tokens = tokens = []  # (kind, value, offset into text)
+        pieces = _TOKEN.split(text)  # gap, token, gap, ..., token, gap
+        at = 0
+        for k in range(1, len(pieces), 2):
+            gap, value = pieces[k - 1], pieces[k]
+            if gap:
+                self.space(gap, at)
+                at += len(gap)
+            if value in _SINGLE:
+                tokens.append((value, value, at))
             else:
-                self.tokens.append((value, value, at))
-        self.tokens.append(("end", None, len(text)))
+                num, slash, den = value.partition("/")
+                if slash:
+                    den = self.integer(den, at)
+                    if den == 0:
+                        raise self.error("zero denominator", at)
+                    tokens.append(("number", Fraction(self.integer(num, at), den), at))
+                else:
+                    tokens.append(("number", self.integer(num, at), at))
+            at += len(value)
+        self.space(pieces[-1], at)
+        tokens.append(("end", None, len(text)))
         self.pos = 0
+
+    def space(self, gap: str, at: int):
+        """Raise at the first character of the gap that is not whitespace."""
+        if gap.strip(_SPACE):
+            at += len(gap) - len(gap.lstrip(_SPACE))
+            raise self.error(f"unexpected character {self.text[at]!r}", at)
 
     def integer(self, digits: str, at: int) -> int:
         # int() refuses more digits than the interpreter's limit; the limit
@@ -74,62 +94,74 @@ class _Parser:
         column = at - (self.text.rfind("\n", 0, at) + 1) + 1
         return PolyParseError(message, line, column)
 
-    def peek(self) -> str:
-        return self.tokens[self.pos][0]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expr(self) -> BiPoly:
-        op = self.advance()[0] if self.peek() == "-" else "+"
+    def expr(self) -> dict:
+        """The sum as {(i, j): coefficient}, coefficients int or Fraction,
+        zeros kept."""
+        tokens = self.tokens
+        minus = tokens[self.pos][0] == "-"
+        if minus:
+            self.pos += 1
         total = {}
         while True:
-            for key, c in self.term()._terms.items():
-                total[key] = total.get(key, 0) + (c if op == "+" else -c)
-            if self.peek() not in ("+", "-"):
-                return _raw({key: c for key, c in total.items() if c})
-            op = self.advance()[0]
-
-    def term(self) -> BiPoly:
-        result = self.factor()
-        while self.peek() == "*":
-            self.advance()
-            rhs = self.factor()
-            if len(result._terms) == len(rhs._terms) == 1:
-                ((i, j), c), ((k, l), d) = *result._terms.items(), *rhs._terms.items()
-                result = _raw({(i + k, j + l): d if c is _ONE else c if d is _ONE else c * d})
+            term = self.term()
+            if type(term) is tuple:
+                i, j, c = term
+                total[i, j] = total.get((i, j), 0) + (-c if minus else c)
             else:
-                result = result * rhs
+                for key, c in term._terms.items():
+                    total[key] = total.get(key, 0) + (-c if minus else c)
+            op = tokens[self.pos][0]
+            if op != "+" and op != "-":
+                return total
+            minus = op == "-"
+            self.pos += 1
+
+    def term(self):
+        result = self.factor()
+        tokens = self.tokens
+        while tokens[self.pos][0] == "*":
+            self.pos += 1
+            rhs = self.factor()
+            if type(result) is tuple and type(rhs) is tuple:
+                result = (result[0] + rhs[0], result[1] + rhs[1], result[2] * rhs[2])
+            else:
+                result = _poly(result) * _poly(rhs)
         return result
 
-    def factor(self) -> BiPoly:
+    def factor(self):
         base = self.base()
-        if self.peek() != "^":
+        tokens = self.tokens
+        if tokens[self.pos][0] != "^":
             return base
-        self.advance()
-        kind, value, at = self.advance()
-        if kind != "number" or value.denominator != 1:
+        _, n, at = tokens[self.pos + 1]
+        if type(n) is not int:  # any token but a uint, x^6/2 included
             raise self.error("exponent must be a nonnegative integer", at)
-        n = int(value)
-        if len(base._terms) == 1:
-            ((i, j), c), = base._terms.items()
-            return _raw({(i * n, j * n): c if c is _ONE else c**n})
+        self.pos += 2
+        if type(base) is tuple:
+            i, j, c = base
+            return (i * n, j * n, c**n)
         return base**n
 
-    def base(self) -> BiPoly:
-        kind, value, at = self.advance()
+    def base(self):
+        kind, value, at = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "number":
+            return (0, 0, value)
+        if kind == "x":
+            return (1, 0, 1)
+        if kind == "y":
+            return (0, 1, 1)
         if kind == "(":
             inner = self.expr()
-            if self.peek() != ")":
-                raise self.error(f"expected ')', found {self.peek()!r}")
-            self.advance()
-            return inner
-        if kind == "number":
-            return _raw({(0, 0): value} if value else {})
-        if kind in ("x", "y"):
-            return _raw({(1, 0) if kind == "x" else (0, 1): _ONE})
+            if self.tokens[self.pos][0] != ")":
+                raise self.error(f"expected ')', found {self.tokens[self.pos][0]!r}")
+            self.pos += 1
+            inner = {key: c for key, c in inner.items() if c}
+            if len(inner) == 1:
+                ((i, j), c), = inner.items()
+                return (i, j, c)
+            # its int coefficients are read as numerators by BiPoly's * and **
+            return _raw(inner)
         message = "unexpected end of input" if kind == "end" else f"unexpected {kind!r}"
         raise self.error(message, at)
 
@@ -143,14 +175,15 @@ def parse_poly(text: str) -> BiPoly:
     numbers longer than its limit on digits (sys.get_int_max_str_digits).
     """
     parser = _Parser(text)
-    if parser.peek() == "end":
+    if parser.tokens[0][0] == "end":
         raise parser.error("empty input")
     try:
-        result = parser.expr()
+        total = parser.expr()
     except RecursionError:
         # pos may stand past the end token: point at the last token read
         at = parser.tokens[parser.pos - 1][2]
         raise parser.error("expression is nested too deeply", at) from None
-    if parser.peek() != "end":
-        raise parser.error(f"unexpected {parser.peek()!r} after expression")
-    return result
+    kind = parser.tokens[parser.pos][0]
+    if kind != "end":
+        raise parser.error(f"unexpected {kind!r} after expression")
+    return _raw({key: Fraction(c) for key, c in total.items() if c})

@@ -575,10 +575,19 @@ def _one_edge(rows, weights, b, q):
     """Whether every digit c_e of h = sum_{e <= l} c_e p^e, whose
     I(p, h) = b and quotient q come from _expansion_intersection, keeps
     l I(p, c_e) >= (l - e) b, on or above the Newton edge from (b, 0) to
-    (0, l).  A term x^a adds monomials of value at least a * weights[0] to
-    the digits it reaches, so terms past the edge are dropped first."""
+    (0, l), for p the l-th approximate root of h.  A term x^a adds
+    monomials of value at least a * weights[0] to the digits it reaches, so
+    terms past the edge are dropped first.
+
+    The digits run to e = l - 2 only.  The digit c_(l-1) of h in its l-th
+    approximate root is exactly 0 (Tschirnhausen): a nonzero one would give
+    h - p^l the y-degree deg h - deg p at least.  What the filter drops
+    before that digit lies past the edge of some e <= l - 1, so it adds
+    only monomials of value at least b / l to c_(l-1), and the check there,
+    l I(p, c_(l-1)) >= b, cannot fail.  A level with l = 2 divides no
+    digit at all."""
     l = (len(q) - 1) // (len(rows[-1]) - 1) + 1
-    for e in range(1, l):
+    for e in range(1, l - 1):
         q = [{i: c for i, c in row.items() if l * i * weights[0] < (l - e) * b} for row in q]
         q, digit = _divmod_monic(q, rows[-1])
         if digit and l * _least_value(digit, rows[:-1], weights) < (l - e) * b:

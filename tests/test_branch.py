@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (am_iteration_by_resultants, approximate_root_by_powers, conductor_by_gaps,
-                     semigroup_by_criterion)
+from oracles import (_divmod_y, am_iteration_by_resultants, approximate_root_by_powers,
+                     conductor_by_gaps, semigroup_by_criterion)
 from planebranch import (
     BiPoly,
     CharSequence,
@@ -125,6 +125,26 @@ def test_approximate_root_defining_property(rng):
                 assert (f - g**p).deg_y() < d - d // p
     assert approximate_root(F2, 1) == F2
     assert approximate_root(F2, 4) == y()
+
+
+def test_the_digit_below_the_top_of_an_approximate_root_expansion_is_zero(rng):
+    """For a monic f, branch or not, and g = approximate_root(f, p), the
+    expansion f = sum_(e <= p) c_e g^e has c_p = 1 and c_(p-1) = 0
+    (Tschirnhausen), which lets _one_edge skip the check of c_(p-1).  The
+    digits come from BiPoly long division, not from the rows that
+    _one_edge divides."""
+    for _ in range(60):
+        d = rng.choice((2, 3, 4, 6, 8, 12))
+        f = y(d) + BiPoly({(rng.randint(0, 8), rng.randrange(d)):
+                           Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                           for _ in range(rng.randint(1, 8))})
+        for p in (q for q in range(1, d + 1) if d % q == 0):
+            h, digits = f, []
+            while h:
+                h, c = _divmod_y(h, approximate_root(f, p))
+                digits.append(c)
+            assert len(digits) == p + 1 and digits[p] == BiPoly.one(), (str(f), p)
+            assert digits[p - 1].is_zero(), (str(f), p)
 
 
 def test_approximate_root_rejects_bad_input():

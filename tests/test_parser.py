@@ -114,6 +114,9 @@ def test_error_positions():
         ("1/2/3", "unexpected character '/'", 1, 4),
         ("(y^2-x^3)^2-x^5*y)", "unexpected ')' after expression", 1, 18),
         ("x\n\n   + \t+", "unexpected '+'", 3, 7),
+        ("x^6/2", "exponent must be a nonnegative integer", 1, 3),
+        ("y^4/2 - x^3", "exponent must be a nonnegative integer", 1, 3),
+        ("x^0/5", "exponent must be a nonnegative integer", 1, 3),
     ],
 )
 def test_rejection_golden(text, message, line, column):
@@ -212,6 +215,16 @@ def test_expression_trees_parse_to_their_value(tree):
 )
 def test_pinned_powers_and_sums(text, value):
     assert parse_poly(text) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["y^16 - 4*x^7*y^12 + 6*x^14*y^8 - 4*x^21*y^4 - x^30*y + x^28", "1/2*x - 3/4*y^2 + 2",
+     "(y^2-x^3)^2-x^5*y", "2^3*x*y", "(1/2*x*y^2)^3 + (x+y)*(x-2*y)", "x*(y+2) - 3/3"],
+)
+def test_every_coefficient_is_a_fraction(text):
+    # the parser sums ints; what it returns keeps BiPoly's Fraction coefficients
+    assert all(type(c) is Fraction for _, c in parse_poly(text).terms()), text
 
 
 def test_numbers_past_the_digit_limit_are_parse_errors(digit_limit):
