@@ -4,10 +4,11 @@ For a branch with semigroup generators (v0, ..., vg) and characteristic
 approximate roots f_0, ..., f_{g-1}, the jacobian curve of the pair
 (f_k, f) has a Newton diagram in the (intersection with f, intersection
 with f_k) coordinates.  That diagram is determined by the semigroup alone,
-through a closed formula implemented here, and conversely the family for
-k = 0..g-1 determines the semigroup; the inverse map is also implemented
-here.  The floating point verification of the formula against actual
-jacobian curves lives in the puiseux module.
+through a closed formula implemented here.  Conversely member 0 alone
+determines the semigroup; the inverse map reads it there and certifies it
+by running the formula forward over the whole family k = 0..g-1.  The
+floating point verification of the formula against actual jacobian curves
+lives in the puiseux module.
 """
 
 from __future__ import annotations
@@ -199,64 +200,49 @@ class RecoveryData(Value):
         return "\n".join(self.readings)
 
 
-def _exact_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise ValidationError(f"{what} must be an integer, got {value}")
-    return int(value)
+def _quotient(a, b, what: str) -> int:
+    """a / b for sides a, b (int or Fraction) that must divide exactly."""
+    q, r = divmod(a, b)
+    if r:
+        raise ValidationError(f"{what} must be an integer, got {Fraction(a, b)}")
+    return q
 
 
 def recovery_data(family) -> RecoveryData:
     """Reconstruct the semigroup from its diagram family and explain how.
 
-    The last diagram is a single segment whose inclination is the last
-    gcd level; heights of the final segments of the earlier diagrams then
-    release the generators one by one.  The result is certified by running
-    the closed formula forward and comparing every diagram.
+    Member 0 alone determines the semigroup.  Its lowest segment is
+    {v_0 H \\ H} with H = v_1/l_1 - 1; each later segment i = 2..g is
+    {(n_i - 1) v_i \\ (n_i - 1) v_1/l_(i-1)}, so its height gives n_i and
+    then its length v_i, and v_1 = (v_1/l_1) n_2 ... n_g.  The closed
+    formula, run forward on the result, certifies every member.
     """
     diagrams = _diagram_tuple(family, "recovery expects NewtonDiagram objects")
     if not diagrams:
         raise ValidationError("recovery needs at least one diagram")
-    g = len(diagrams)
-    readings = []
-    for k, d in enumerate(diagrams):
-        if d.shift != (0, 0):
-            raise ValidationError(f"diagram k={k} has a monomial factor; not a jacobian family")
-        if not d.segments:
-            raise ValidationError(f"diagram k={k} is empty")
-    last = diagrams[g - 1]
-    if len(last.segments) != 1:
+    d = diagrams[0]
+    if d.shift != (0, 0):
+        raise ValidationError("diagram k=0 has a monomial factor; not a jacobian family")
+    if not d.segments:
+        raise ValidationError("diagram k=0 is empty")
+    first, *later = d.segments
+    v0 = _quotient(first.length, first.height, "inclination of diagram k=0")
+    top = q = _quotient(first.height, 1, "height of segment 1 of diagram k=0") + 1
+    gens, readings = [v0], [f"multiplicity {v0} = lowest inclination of diagram k=0"]
+    for i, seg in enumerate(later, start=2):
+        n = _quotient(seg.height, q, f"height of segment {i} of diagram k=0 over {q}") + 1
+        v = _quotient(seg.length, n - 1, f"generator read from segment {i} of diagram k=0")
+        gens.append(v)
+        readings.append(f"generator {v} = length of segment {i} of diagram k=0 / {n - 1}, "
+                        f"with n_{i} = {n} = its height / {q} + 1")
+        q *= n
+    gens.insert(1, q)
+    readings.insert(1, f"generator {q} = (height of segment 1 of diagram k=0 + 1) "
+                       f"* {q // top}")
+    g = len(gens) - 1
+    if len(diagrams) != g:
         raise ValidationError(
-            f"diagram k={g - 1} must be a single segment, found {len(last.segments)}"
-        )
-    iota = last.segments[0].inclination
-    iota_int = _exact_int(iota, f"inclination of diagram k={g - 1}")
-    if iota_int < 2:
-        raise ValidationError(f"inclination of the last diagram must be >= 2, got {iota_int}")
-    if g == 1:
-        height = last.segments[0].height
-        v1 = _exact_int(height + 1, "second generator")
-        gens = [iota_int, v1]
-        readings.append(f"multiplicity {iota_int} = inclination of the only diagram")
-        readings.append(f"generator {v1} = height of the only diagram + 1")
-    else:
-        v0 = diagrams[0].segments[0].inclination
-        v0_int = _exact_int(v0, "lowest inclination of diagram k=0")
-        gens = [v0_int]
-        readings.append(f"multiplicity {v0_int} = lowest inclination of diagram k=0")
-        readings.append(f"last gcd level {iota_int} = inclination of diagram k={g - 1}")
-        for r in range(g - 1):
-            h = diagrams[r].segments[-1].height
-            v = _exact_int(Fraction(h * iota_int, iota_int - 1),
-                           f"generator read from diagram k={r}")
-            gens.append(v)
-            readings.append(
-                f"generator {v} = {iota_int}/{iota_int - 1} * final height of diagram k={r}"
-            )
-        tail = diagrams[g - 2].segments[-1].length
-        v_g = _exact_int(Fraction(tail, iota_int - 1), "last generator")
-        gens.append(v_g)
-        readings.append(
-            f"generator {v_g} = final length of diagram k={g - 2} / {iota_int - 1}"
+            f"diagram k=0 gives genus {g} but the family has {len(diagrams)} diagrams"
         )
     try:
         s = Semigroup(tuple(gens))

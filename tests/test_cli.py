@@ -350,12 +350,21 @@ def test_recover_file_not_utf8(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_usage_errors_keep_the_output_mode(capsys):
+    message = "the following arguments are required: --f"
+    code, out, err = run(capsys, "semigroup", "--json")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValidationError", "message": message}
+    assert run(capsys, "semigroup") == (1, "", f"error: {message}\n")
+
+
 def test_demo_noninjectivity(capsys):
     code, out, _ = run(capsys, "demo-noninjectivity")
     assert code == 0
     assert "{72\\36}" in out and "{76\\38}" in out
     for gens in ("<4, 14, 31>", "<4, 6, 35>", "<4, 6, 37>", "<6, 10, 31>"):
         assert gens in out
+    assert "member 0 alone separates them" in out
 
 
 def test_exit_codes(capsys):

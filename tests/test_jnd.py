@@ -1,6 +1,7 @@
 """Closed formula for the diagram family, invariants, recovery."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -44,6 +45,10 @@ def test_formula_collisions():
     assert jnd_formula(Semigroup((4, 6, 35)), 1) == D([E(72, 36)])
     assert jnd_formula(Semigroup((4, 6, 37)), 1) == D([E(76, 38)])
     assert jnd_formula(Semigroup((6, 10, 31)), 1) == D([E(76, 38)])
+    # no member but member 0 is complete: these pairs share member 1, resp. 2
+    assert jnd_formula(Semigroup((4, 6, 23)), 1) == jnd_formula(Semigroup((4, 10, 21)), 1)
+    assert (jnd_formula(Semigroup((8, 12, 26, 63)), 2)
+            == jnd_formula(Semigroup((8, 12, 30, 61)), 2))
 
 
 def test_formula_rejects_bad_index():
@@ -169,9 +174,14 @@ _RECOVERY_ERRORS = [
      "inclination of diagram k=0 must be an integer, got 5/2"),
     ({"diagrams": [{"k": 0, "segments": []}]}, "diagram k=0 is empty"),
     ({"diagrams": [{"k": 0, "segments": [[8, 2], [13, 3]]}]},
-     "diagram k=0 must be a single segment, found 2"),
+     "diagram k=0 gives genus 2 but the family has 1 diagrams"),
     ({"diagrams": [{"k": 0, "segments": [[1, 1]]}]},
-     "inclination of the last diagram must be >= 2, got 1"),
+     "recovered values [1, 2] are not a branch semigroup: "
+     "gcd chain must decrease strictly, got (1, 1)"),
+    ({"diagrams": [{"k": 0, "segments": [[8, 2], [13, 3]]},
+                   {"k": 1, "segments": [[28, 14], [1, 1]]}]},
+     "diagram k=1 is not the jacobian diagram of <4, 6, 13>: "
+     "expected {28\\14}, got {1\\1} + {28\\14}"),
     (None, "family of a genus 2 branch needs 2 diagrams, got 1"),
 ]
 
@@ -221,6 +231,32 @@ def test_recovery_roundtrip(rng):
         if s.genus == 0:
             continue
         assert recover_semigroup(jnd_family(s)) == s
+
+
+def _semigroups(max_v0, max_v, max_genus):
+    """Every semigroup of genus 1..max_genus with v_0 <= max_v0 and every
+    v_i <= max_v: each generator lowers the gcd and clears n_q v_q."""
+    def extend(gens, gcds):
+        if gcds[-1] == 1:
+            yield tuple(gens)
+        elif len(gens) <= max_genus:
+            n = gcds[-2] // gcds[-1] if len(gcds) > 1 else 1
+            for v in range(n * gens[-1] + 1, max_v + 1):
+                if math.gcd(gcds[-1], v) < gcds[-1]:
+                    yield from extend(gens + [v], gcds + [math.gcd(gcds[-1], v)])
+
+    for v0 in range(2, max_v0 + 1):
+        yield from extend([v0], [v0])
+
+
+def test_member_zero_determines_the_semigroup():
+    seen = {}
+    for gens in _semigroups(16, 200, 3):
+        s = Semigroup(gens)
+        fam = jnd_family(s)
+        assert seen.setdefault(fam[0], s) == s
+        assert recovery_data(fam).semigroup == s
+    assert len(seen) == 13583
 
 
 def test_family_container():
