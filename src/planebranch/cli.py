@@ -6,6 +6,11 @@ roots of a Weierstrass polynomial, the closed-formula diagram family
 invariants, recovery of the semigroup from a stored family, and a small
 demonstration that distinct semigroups can share every diagram but member 0.
 
+Each handler does all its work, files included, and returns (payload,
+lines): its result as a JSON object and as an iterable of text lines,
+read only for text output.  main alone reads --json and prints one of
+the two with one print, so a command prints its whole result or nothing.
+
 Exit codes: 0 success, 1 invalid input, 2 verification mismatch,
 3 expression syntax error.
 """
@@ -14,7 +19,6 @@ import argparse
 import json
 import shlex
 import sys
-from pathlib import Path
 
 from ._value import _num_to_json
 from .branch import (
@@ -77,58 +81,32 @@ def _k_range(text: str, genus: int):
     return [k]
 
 
-def _print_diagrams(family, ks):
-    for k in ks:
-        d = family.diagrams[k]
-        print(f"k={k}: {d}")
-        chain = " -> ".join(f"({a}, {b})" for a, b in d.vertices())
-        print(f"  vertices: {chain}")
-
-
-def _family_payload(family, ks):
-    full = family.to_json_dict()
-    return {
-        "semigroup": full["semigroup"],
-        "diagrams": [full["diagrams"][k] for k in ks],
-    }
-
-
-def cmd_semigroup(args) -> int:
+def cmd_semigroup(args):
     s = semigroup_of(parse_poly(args.f))
     char = semigroup_to_char(s)
-    if args.json:
-        print(json.dumps({
-            "semigroup": list(s.generators),
-            "characteristic": list(char.exponents),
-            "gcds": list(s.gcds),
-            "ramification": list(s.n_factors),
-            "milnor": s.milnor(),
-        }))
-    else:
-        # one print, so a number past the digit limit prints no line at all
-        print("\n".join([
-            f"semigroup:      {s}",
-            f"characteristic: {char}",
-            f"gcd sequence:   {', '.join(map(str, s.gcds))}",
-            f"ramification:   {', '.join(map(str, s.n_factors))}",
-            f"milnor number:  {s.milnor()}",
-        ]))
-    return 0
+    mu = s.milnor()
+    payload = {
+        "semigroup": list(s.generators),
+        "characteristic": list(char.exponents),
+        "gcds": list(s.gcds),
+        "ramification": list(s.n_factors),
+        "milnor": mu,
+    }
+    return payload, [
+        f"semigroup:      {s}",
+        f"characteristic: {char}",
+        f"gcd sequence:   {', '.join(map(str, s.gcds))}",
+        f"ramification:   {', '.join(map(str, s.n_factors))}",
+        f"milnor number:  {mu}",
+    ]
 
 
-def cmd_roots(args) -> int:
-    # every root is printed to text first, so one that cannot be printed
-    # fails the command before any line reaches stdout
+def cmd_roots(args):
     texts = [str(r) for r in characteristic_roots(parse_poly(args.f))]
-    if args.json:
-        print(json.dumps({"roots": texts}))
-    else:
-        for k, text in enumerate(texts):
-            print(f"k={k}: {text}")
-    return 0
+    return {"roots": texts}, [f"k={k}: {text}" for k, text in enumerate(texts)]
 
 
-def cmd_jnd(args) -> int:
+def cmd_jnd(args):
     if (args.semigroup is None) == (args.f is None):
         raise ValidationError("provide exactly one of --semigroup or --f")
     if args.verify and args.f is None:
@@ -143,57 +121,54 @@ def cmd_jnd(args) -> int:
     if args.svg and len(ks) != 1:
         raise ValidationError("--svg needs a single --k value")
 
-    report = None
-    if args.verify:
-        report = verify_decomposition(f, None if args.k == "all" else ks[0])
+    # verify_decomposition raises on any failed check
+    report = verify_decomposition(f, None if args.k == "all" else ks[0]) if args.verify else []
 
     if args.svg:
+        svg = family.diagrams[ks[0]].render_svg()
         try:
-            Path(args.svg).write_text(family.diagrams[ks[0]].render_svg())
+            with open(args.svg, "w") as out:
+                out.write(svg)
         except OSError as exc:
             raise ValidationError(f"cannot write {args.svg}: {exc}")
 
-    if args.json:
-        payload = _family_payload(family, ks)
-        if report is not None:
-            payload["checks"] = [
-                {"name": name, "ok": ok, "detail": detail} for name, ok, detail in report
-            ]
-        print(json.dumps(payload))
-        return 0
-    _print_diagrams(family, ks)
-    if report is not None:
-        # verify_decomposition raises on any failed check
+    full = family.to_json_dict()
+    payload = {"semigroup": full["semigroup"], "diagrams": [full["diagrams"][k] for k in ks]}
+    if args.verify:
+        payload["checks"] = [{"name": n, "ok": ok, "detail": d} for n, ok, d in report]
+
+    def lines():
+        # lazy: a vertex sums sides, and can pass the digit limit where no JSON side does
+        for k in ks:
+            d = family.diagrams[k]
+            yield f"k={k}: {d}"
+            yield "  vertices: " + " -> ".join(f"({a}, {b})" for a, b in d.vertices())
         for name, _, detail in report:
-            print(f"[ok] {name}" + (f": {detail}" if detail else ""))
-    if args.svg:
-        print(f"wrote {args.svg}")
-    return 0
+            yield f"[ok] {name}" + (f": {detail}" if detail else "")
+        if args.svg:
+            yield f"wrote {args.svg}"
+
+    return payload, lines()
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args):
     s = _semigroup_flag(args.semigroup)
     if s.genus == 0:
         raise ValidationError("a smooth branch has no jacobian invariants")
     ks = _k_range(args.k, s.genus)
     family = jnd_family(s)
     rows = [(k, [seg.inclination for seg in family[k].segments]) for k in ks]
-    if args.json:
-        print(json.dumps({
-            "semigroup": list(s.generators),
-            "invariants": [
-                {"k": k, "values": [_num_to_json(v) for v in values]} for k, values in rows
-            ],
-        }))
-    else:
-        for k, values in rows:
-            print(f"k={k}: {', '.join(str(v) for v in values)}")
-    return 0
+    payload = {
+        "semigroup": list(s.generators),
+        "invariants": [{"k": k, "values": [_num_to_json(v) for v in values]} for k, values in rows],
+    }
+    return payload, [f"k={k}: {', '.join(str(v) for v in values)}" for k, values in rows]
 
 
-def cmd_recover(args) -> int:
+def cmd_recover(args):
     try:
-        text = Path(args.family).read_text()
+        with open(args.family) as src:
+            text = src.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {args.family}: {exc}")
     try:
@@ -202,22 +177,18 @@ def cmd_recover(args) -> int:
         raise ValidationError(f"{args.family} is not valid JSON: {exc}")
     claimed, diagrams = family_from_json_dict(data)
     result = recovery_data(diagrams)
-    if claimed is not None and claimed != result.semigroup:
-        raise VerificationError(
-            f"file claims {claimed} but the diagrams recover {result.semigroup}"
-        )
-    if args.json:
-        print(json.dumps({"semigroup": list(result.semigroup.generators)}))
-        return 0
-    print(",".join(str(v) for v in result.semigroup.generators))
+    s = result.semigroup
+    if claimed is not None and claimed != s:
+        raise VerificationError(f"file claims {claimed} but the diagrams recover {s}")
+    lines = [",".join(map(str, s.generators))]
     if args.explain:
-        print(result.describe())
-    return 0
+        lines.append(result.describe())
+    return {"semigroup": list(s.generators)}, lines
 
 
-def cmd_demo(args) -> int:
-    print("Distinct semigroups can share a diagram; the full family still")
-    print("separates them.\n")
+def cmd_demo(args):
+    lines = ["Distinct semigroups can share a diagram; the full family still",
+             "separates them.", ""]
     for a, b in COLLIDING_PAIRS:
         fam_a, fam_b = jnd_family(a), jnd_family(b)
         shared = [
@@ -229,14 +200,14 @@ def cmd_demo(args) -> int:
         if not shared or fam_a.diagrams[0] == fam_b.diagrams[0]:
             raise VerificationError(f"collision pair {a}, {b} did not behave as expected")
         i, j = shared[0]
-        print(f"{a} at k={i} and {b} at k={j} both give {fam_a.diagrams[i]}")
-        for label, fam in ((str(a), fam_a), (str(b), fam_b)):
-            for k, d in enumerate(fam.diagrams):
-                print(f"  {label} k={k}: {d}")
-        print()
-    print("Each pair shares one member, yet member 0 alone separates them:")
-    print("recover reads the semigroup off member 0 and certifies the rest.")
-    return 0
+        lines.append(f"{a} at k={i} and {b} at k={j} both give {fam_a.diagrams[i]}")
+        lines += [f"  {label} k={k}: {d}"
+                  for label, fam in ((str(a), fam_a), (str(b), fam_b))
+                  for k, d in enumerate(fam.diagrams)]
+        lines.append("")
+    lines += ["Each pair shares one member, yet member 0 alone separates them:",
+              "recover reads the semigroup off member 0 and certifies the rest."]
+    return None, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,20 +262,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fail(exc, code, json_mode) -> int:
-    if json_mode:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-    else:
-        print(f"error: {exc}", file=sys.stderr)
+    envelope = {"error": type(exc).__name__, "message": str(exc)}
+    print(json.dumps(envelope) if json_mode else f"error: {exc}", file=sys.stderr)
     return code
 
 
 def _run_batch(path: str) -> int:
     try:
-        text = Path(path).read_text()
+        with open(path) as src:
+            text = src.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read batch file: {exc}", file=sys.stderr)
-        return 1
+        return _fail(ValidationError(f"cannot read batch file: {exc}"), 1, False)
     status = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -316,11 +284,10 @@ def _run_batch(path: str) -> int:
         except ValueError as exc:
             problem = str(exc)
         if problem:
-            print(f"error: line {lineno}: {problem}", file=sys.stderr)
-            status = status or 1
-            continue
-        print(f"# {line}")
-        code = main(words)
+            code = _fail(ValidationError(f"line {lineno}: {problem}"), 1, False)
+        else:
+            print(f"# {line}")
+            code = main(words)
         status = status or code
     return status
 
@@ -330,24 +297,27 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if (args.command is None) == (args.batch is None):
+            parser.error("provide exactly one of a subcommand or --batch")
     except ValidationError as exc:
-        # no namespace exists yet, so the mode is read off the raw words
+        # the mode is read off the raw words, as there may be no namespace yet
         return _fail(exc, 1, "--json" in argv)
-    if args.batch:
+    if args.batch is not None:
         return _run_batch(args.batch)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return _fail(ValidationError("a subcommand or --batch is required"), 1, False)
     json_mode = getattr(args, "json", False)
     try:
         with _digit_limit():
-            return args.handler(args)
+            payload, lines = args.handler(args)
+            out = json.dumps(payload) if json_mode else "\n".join(lines)
     except PolyParseError as exc:
         return _fail(exc, 3, json_mode)
     except (VerificationError, ContactUndecidableError) as exc:
         return _fail(exc, 2, json_mode)
     except PlanebranchError as exc:
         return _fail(exc, 1, json_mode)
+    if out:  # a command with no lines prints no empty one
+        print(out)
+    return 0
 
 
 if __name__ == "__main__":

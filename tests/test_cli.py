@@ -175,6 +175,30 @@ def test_numbers_past_the_digit_limit(capsys, digit_limit):
                                "message": f"cannot print a number of more than {digit_limit} digits"}
 
 
+def test_jnd_prints_all_of_its_result_or_nothing(capsys, digit_limit):
+    # member 1 of <4, 6, v> is {2(v+1) \\ v+1}, one digit past the limit
+    # when v has as many as it allows; member 0 still prints
+    v = 6 * 10 ** (digit_limit - 1) + 1
+    message = f"cannot print a number of more than {digit_limit} digits"
+    code, out, err = run(capsys, "jnd", "--semigroup", f"4,6,{v}")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    code, out, err = run(capsys, "jnd", "--semigroup", f"4,6,{v}", "--json")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValidationError", "message": message}
+
+
+def test_jnd_vertices_past_the_digit_limit_fail_the_text_only(capsys, digit_limit):
+    # every side of member 0 of <8, 12, 26, v> fits, but its last vertex
+    # sums them past the limit; the JSON form has no vertices
+    gens = f"8,12,26,{10 ** digit_limit - 1}"
+    code, out, err = run(capsys, "jnd", "--semigroup", gens, "--k", "0")
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot print a number of more than {digit_limit} digits\n"
+    code, out, err = run(capsys, "jnd", "--semigroup", gens, "--k", "0", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["diagrams"][0]["segments"][-1] == [10 ** digit_limit - 1, 6]
+
+
 # (x^a)^b parses with two 2,200-digit numbers; the branch y^2 - x^(a*b)
 # then has a generator of about 4,400 digits.  With a = b that exponent is
 # even, and the Abhyankar-Moh run fails with a message that would quote it.
@@ -457,6 +481,18 @@ def test_batch_reports_first_failure_but_continues(capsys, tmp_path):
     script.write_text(f"--batch {script}\n")
     code, _, err = run(capsys, "--batch", str(script))
     assert code == 1 and "nested" in err
+
+
+def test_batch_refuses_a_subcommand_before_any_line(capsys, tmp_path):
+    script = tmp_path / "tasks.txt"
+    script.write_text("semigroup --f y^2-x^3\n")
+    message = "provide exactly one of a subcommand or --batch"
+    assert run(capsys, "--batch", str(script), "roots", "--f", "y^3-x^4") == (
+        1, "", f"error: {message}\n")
+    code, out, err = run(capsys, "--batch", str(script), "roots", "--f", "y^3-x^4", "--json")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValidationError", "message": message}
+    assert run(capsys) == (1, "", f"error: {message}\n")
 
 
 def test_batch_reports_unbalanced_quote_and_continues(capsys, tmp_path):

@@ -85,3 +85,13 @@ def test_higher_tiers_load_mpmath(tmp_path):
     action = "assert len(puiseux_expand(parse_poly('y^2-x^3'), 4, min_bits=128)) == 2"
     before, after = numeric_modules(tmp_path, [], action)
     assert before == [] and "mpmath" in after
+
+
+def test_cli_import_loads_no_pathlib(tmp_path):
+    # -S keeps site's own imports out, so what is loaded is the CLI's
+    src = str(Path(planebranch.__file__).resolve().parents[1])
+    code = "import sys, planebranch.cli; print('pathlib' in sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
