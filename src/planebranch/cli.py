@@ -27,14 +27,7 @@ from .branch import (
     semigroup_of,
     semigroup_to_char,
 )
-from .errors import (
-    ContactUndecidableError,
-    PlanebranchError,
-    PolyParseError,
-    ValidationError,
-    VerificationError,
-    _digit_limit,
-)
+from .errors import PlanebranchError, ValidationError, VerificationError, _digit_limit
 from .fixtures import COLLIDING_PAIRS
 from .jacobian import (
     family_from_json_dict,
@@ -261,10 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(exc, code, json_mode) -> int:
+def _fail(exc, json_mode) -> int:
     envelope = {"error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(envelope) if json_mode else f"error: {exc}", file=sys.stderr)
-    return code
+    return exc.exit_code
 
 
 def _run_batch(path: str) -> int:
@@ -272,7 +265,7 @@ def _run_batch(path: str) -> int:
         with open(path) as src:
             text = src.read()
     except (OSError, UnicodeDecodeError) as exc:
-        return _fail(ValidationError(f"cannot read batch file: {exc}"), 1, False)
+        return _fail(ValidationError(f"cannot read batch file: {exc}"), False)
     status = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -284,7 +277,7 @@ def _run_batch(path: str) -> int:
         except ValueError as exc:
             problem = str(exc)
         if problem:
-            code = _fail(ValidationError(f"line {lineno}: {problem}"), 1, False)
+            code = _fail(ValidationError(f"line {lineno}: {problem}"), False)
         else:
             print(f"# {line}")
             code = main(words)
@@ -301,7 +294,7 @@ def main(argv=None) -> int:
             parser.error("provide exactly one of a subcommand or --batch")
     except ValidationError as exc:
         # the mode is read off the raw words, as there may be no namespace yet
-        return _fail(exc, 1, "--json" in argv)
+        return _fail(exc, "--json" in argv)
     if args.batch is not None:
         return _run_batch(args.batch)
     json_mode = getattr(args, "json", False)
@@ -309,12 +302,8 @@ def main(argv=None) -> int:
         with _digit_limit():
             payload, lines = args.handler(args)
             out = json.dumps(payload) if json_mode else "\n".join(lines)
-    except PolyParseError as exc:
-        return _fail(exc, 3, json_mode)
-    except (VerificationError, ContactUndecidableError) as exc:
-        return _fail(exc, 2, json_mode)
     except PlanebranchError as exc:
-        return _fail(exc, 1, json_mode)
+        return _fail(exc, json_mode)
     if out:  # a command with no lines prints no empty one
         print(out)
     return 0

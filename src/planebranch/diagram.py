@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, inf, lcm
 
 from ._value import Value, _num_to_json, _rational
-from .errors import ValidationError
+from .errors import ValidationError, _digit_limit
 from .poly import BiPoly
 
 __all__ = [
@@ -109,16 +109,14 @@ def lower_hull(points):
     for a, b in points:
         if a not in best or b < best[a]:
             best[a] = b
-    pts = sorted(best.items())
-    if not pts:
+    if not best:
         raise ValidationError("hull of an empty point set")
-    # Pareto filter: with x ascending, keep points whose y is a new minimum.
-    minimal = []
-    for p in pts:
-        if not minimal or p[1] < minimal[-1][1]:
-            minimal.append(p)
     hull = []
-    for p in minimal:
+    for p in sorted(best.items()):
+        # with x ascending, only a point whose y is a new minimum can be a
+        # vertex, and the last vertex is always the last new minimum
+        if hull and p[1] >= hull[-1][1]:
+            continue
         while len(hull) >= 2:
             o, a = hull[-2], hull[-1]
             cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
@@ -420,12 +418,16 @@ def diagram_difference(a: NewtonDiagram, b: NewtonDiagram) -> NewtonDiagram:
         while match is not None and match.length * seg.height < seg.length * match.height:
             remaining.append(match)
             match = next(faces, None)
+        # a refusal may quote a number past the digit limit
         if match is None or match.length * seg.height != seg.length * match.height:
-            raise ValidationError(f"no face with inclination {seg.inclination} to subtract {seg} from")
+            with _digit_limit():
+                raise ValidationError(f"no face with inclination {seg.inclination} "
+                                      f"to subtract {seg} from")
         ln = match.length - seg.length
         ht = match.height - seg.height
         if ln < 0 or ht < 0:
-            raise ValidationError(f"cannot subtract {seg} from the shorter face {match}")
+            with _digit_limit():
+                raise ValidationError(f"cannot subtract {seg} from the shorter face {match}")
         if ln:
             remaining.append(ElementarySegment(ln, ht))
     remaining.extend(faces)

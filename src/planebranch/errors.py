@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ValidationError -> 1,
-VerificationError (and numeric failures) -> 2, PolyParseError -> 3.
+Each class carries the CLI's exit code for it: ValidationError 1,
+VerificationError (and numeric failures) and ContactUndecidableError 2,
+PolyParseError 3.
 """
 
 import sys
@@ -9,7 +10,7 @@ from contextlib import contextmanager
 
 
 class PlanebranchError(Exception):
-    pass
+    exit_code = 1
 
 
 class ValidationError(PlanebranchError, ValueError):
@@ -19,6 +20,8 @@ class ValidationError(PlanebranchError, ValueError):
 class VerificationError(PlanebranchError):
     """Two independent computations of the same quantity disagree."""
 
+    exit_code = 2
+
 
 class NumericError(VerificationError):
     """The floating-point engine failed even at the highest precision tier."""
@@ -27,12 +30,16 @@ class NumericError(VerificationError):
 class ContactUndecidableError(PlanebranchError):
     """Series agree through the truncation window; a deeper expansion is needed."""
 
+    exit_code = 2
+
     def __init__(self, bound):
         self.bound = bound
         super().__init__(f"contact undecidable at current depth (>= {bound})")
 
 
 class PolyParseError(PlanebranchError, ValueError):
+    exit_code = 3
+
     def __init__(self, message, line=None, column=None):
         self.line = line
         self.column = column

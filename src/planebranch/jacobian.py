@@ -18,7 +18,7 @@ from fractions import Fraction
 from ._value import Value, _is_int
 from .branch import Semigroup
 from .diagram import ElementarySegment, NewtonDiagram
-from .errors import ValidationError
+from .errors import ValidationError, _digit_limit
 
 __all__ = [
     "JndFamily",
@@ -204,7 +204,8 @@ def _quotient(a, b, what: str) -> int:
     """a / b for sides a, b (int or Fraction) that must divide exactly."""
     q, r = divmod(a, b)
     if r:
-        raise ValidationError(f"{what} must be an integer, got {Fraction(a, b)}")
+        with _digit_limit():  # a refusal may quote a number past the digit limit
+            raise ValidationError(f"{what} must be an integer, got {Fraction(a, b)}")
     return q
 
 
@@ -251,10 +252,9 @@ def recovery_data(family) -> RecoveryData:
     forward = jnd_family(s)
     for k in range(g):
         if forward.diagrams[k] != diagrams[k]:
-            raise ValidationError(
-                f"diagram k={k} is not the jacobian diagram of {s}: "
-                f"expected {forward.diagrams[k]}, got {diagrams[k]}"
-            )
+            with _digit_limit():
+                raise ValidationError(f"diagram k={k} is not the jacobian diagram of {s}: "
+                                      f"expected {forward.diagrams[k]}, got {diagrams[k]}")
     readings.append(f"certified: closed formula on {s} reproduces all {g} diagrams")
     return RecoveryData(s, readings)
 

@@ -137,14 +137,9 @@ class NumericContext:
         return f"NumericContext(bits={self.bits})"
 
 
-def _ladder_from(min_bits):
-    steps = [b for b in _LADDER if b >= min_bits]
-    return steps or [_LADDER[-1]]
-
-
 def _with_escalation(worker, min_bits=53):
     failures = []
-    for bits in _ladder_from(min_bits):
+    for bits in [b for b in _LADDER if b >= min_bits] or _LADDER[-1:]:
         ctx = NumericContext(bits)
         try:
             with ctx.guard():
@@ -656,7 +651,7 @@ def _root_contacts_deepening(f: BiPoly, h: BiPoly, depth, settled):
     h: its highest order of coincidence with a root of f, and whether that
     order is exact rather than a lower bound.  Tries the given depth, or
     4, 8, 16, 32 and 64 in turn.  Returns the first settled values; raises
-    ContactUndecidableError with the largest undecided bound otherwise.
+    ContactUndecidableError with the deepest depth tried otherwise.
     """
     if f.is_zero() or h.is_zero():
         raise ValidationError("contact of the zero polynomial is undefined")
@@ -677,15 +672,11 @@ def _root_contacts_deepening(f: BiPoly, h: BiPoly, depth, settled):
         return values
 
     depths = [_positive_depth(depth)] if depth is not None else (4, 8, 16, 32, 64)
-    bound = Fraction(0)
     for d in depths:
         values = _with_escalation(lambda ctx: worker(ctx, Fraction(d)))
         if settled(values):
             return values
-        # an undecided value is the expansion depth, and every decided
-        # contact lies below it, so this is also the largest value seen
-        bound = max(bound, max(v for v, decided in values if not decided))
-    raise ContactUndecidableError(bound)
+    raise ContactUndecidableError(Fraction(d))
 
 
 def contact(f: BiPoly, h: BiPoly, partial: bool = False, depth=None):
@@ -723,7 +714,8 @@ def root_contacts(f: BiPoly, h: BiPoly, depth=None):
     The contact of a root is its best order of coincidence over the roots
     of f.  Values come back sorted, largest first.  Deepens and escalates
     like contact(); raises ContactUndecidableError when the deepest
-    expansion still leaves some root undecided.
+    expansion still leaves some root undecided; its bound is the deepest
+    depth tried.
     """
     values = _root_contacts_deepening(
         f, h, depth, lambda values: all(decided or v == inf for v, decided in values)
@@ -922,14 +914,24 @@ def _classify(ctx, sigma, fk: BiPoly, jac: BiPoly, depth):
     return classes, jac_counts, diagram
 
 
-def contact_classes(f: BiPoly, k: int, fk: BiPoly | None = None):
-    """Decompose the jacobian of (k-th root, f) by contact with the branch."""
+def _one_index(f: BiPoly, k: int | None, fk: BiPoly | None):
+    """The _classify triple of the one index _setup measures: k, or the
+    index that a supplied fk's degree names.  k = None without fk names
+    none, and is refused once f is certified, before any jacobian."""
+    if k is None and fk is None:
+        _check_index(semigroup_of(f), k)
     s, roots = _setup(f, k, fk)
     depth = _verifier_depth(s)
-    return _with_escalation(lambda ctx: _measure(ctx, f, roots, depth))[1][k][0]
+    (triple,) = _with_escalation(lambda ctx: _measure(ctx, f, roots, depth))[1].values()
+    return triple
 
 
-def jnd_oracle(f: BiPoly, k: int, fk: BiPoly | None = None) -> NewtonDiagram:
+def contact_classes(f: BiPoly, k: int | None, fk: BiPoly | None = None):
+    """Decompose the jacobian of (k-th root, f) by contact with the branch."""
+    return _one_index(f, k, fk)[0]
+
+
+def jnd_oracle(f: BiPoly, k: int | None, fk: BiPoly | None = None) -> NewtonDiagram:
     """Jacobian Newton diagram measured from actual Puiseux roots.
 
     Independent of the closed formula: the jacobian curve is expanded, and
@@ -937,9 +939,7 @@ def jnd_oracle(f: BiPoly, k: int, fk: BiPoly | None = None) -> NewtonDiagram:
     of its contacts with the roots of f and of f_k; the factor x^alpha of
     the jacobian contributes {alpha*deg_y f \\ alpha*deg_y f_k}.
     """
-    s, roots = _setup(f, k, fk)
-    depth = _verifier_depth(s)
-    return _with_escalation(lambda ctx: _measure(ctx, f, roots, depth))[1][k][2]
+    return _one_index(f, k, fk)[2]
 
 
 def verify_cycle(f: BiPoly, depth=None):

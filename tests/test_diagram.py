@@ -170,6 +170,10 @@ def test_lower_hull_matches_support_oracle(rng):
         pts = [(rng.randint(0, 12), rng.randint(0, 12)) for _ in range(rng.randint(1, 12))]
         pts = [(Fraction(a), Fraction(b)) for a, b in pts]
         assert list(lower_hull(pts)) == support_hull(pts)
+        # duplicates, int list pairs and a one-pass generator give the same vertices
+        doubled = pts + pts[::-1]
+        assert lower_hull([[int(a), int(b)] for a, b in doubled]) == support_hull(pts)
+        assert lower_hull(p for p in doubled) == support_hull(pts)
 
 
 def test_diagram_of_frozen_examples():
@@ -228,6 +232,15 @@ def test_difference_error_messages():
         with pytest.raises(ValidationError) as info:
             a - b
         assert str(info.value) == message
+
+
+def test_difference_refusals_past_the_digit_limit(digit_limit):
+    big = 10 ** (digit_limit + 100)
+    message = f"^cannot print a number of more than {digit_limit} digits$"
+    # no face of the right inclination, and a face too short
+    for b in (NewtonDiagram([E(1, big)]), NewtonDiagram([E(4 * big, 2)])):
+        with pytest.raises(ValidationError, match=message):
+            NewtonDiagram([E(2 * big, 1)]) - b
 
 
 def test_difference_requires_summand():

@@ -225,6 +225,16 @@ def test_recovery_certifies_against_forward_formula():
             recover_semigroup(empty)
 
 
+def test_recovery_refusals_past_the_digit_limit(digit_limit):
+    big = 10 ** (digit_limit + 100)
+    message = f"^cannot print a number of more than {digit_limit} digits$"
+    # an inclination that is no integer, and a member the formula contradicts
+    for family in ([D([E(big + 1, 2)])],
+                   [jnd_family(Semigroup((4, 6, 13)))[0], D([E(big, 1)])]):
+        with pytest.raises(ValidationError, match=message):
+            recovery_data(family)
+
+
 def test_recovery_roundtrip(rng):
     for _ in range(300):
         s = random_semigroup(rng)

@@ -21,6 +21,7 @@ from planebranch import (
     contact,
     contact_classes,
     jacobian_det,
+    jnd_formula,
     jnd_oracle,
     parse_poly,
     puiseux_expand,
@@ -138,6 +139,79 @@ def test_general_root_finder_serves_every_tier(monkeypatch, bits):
     assert [s.truncation for s in series] == [inf] * 3
     for s, c in zip(series, (1, 2, 4)):
         assert abs(s.coefficient(Fraction(1)) - c) < 1e-12
+
+
+def _fails_at_every_tier(reason, min_bits=53):
+    """puiseux_expand(THREE_LINES) raises NumericError naming every tier from
+    min_bits up, each with reason formatted on its bits."""
+    with pytest.raises(NumericError) as info:
+        puiseux_expand(THREE_LINES, 2, min_bits=min_bits)
+    tried = "; ".join(f"{bits} bits: {reason.format(bits=bits)}"
+                      for bits in (53, 128, 256, 512) if bits >= min_bits)
+    assert str(info.value) == f"undecidable at every precision tier: {tried}"
+
+
+def test_a_root_finder_that_does_not_converge_escalates(monkeypatch):
+    mpmath = pytest.importorskip("mpmath")
+    from mpmath.libmp import NoConvergence
+
+    def diverge(*args, **kwargs):
+        raise NoConvergence("no convergence")
+
+    monkeypatch.setattr(mpmath, "polyroots", diverge)
+    ctx = puiseux.NumericContext(128)
+    with pytest.raises(puiseux._EscalationNeeded,
+                       match=r"^root finder did not converge at 128 bits$"):
+        ctx.poly_roots([2, -3, 1])
+    _fails_at_every_tier("root finder did not converge at {bits} bits", min_bits=128)
+
+
+def test_a_root_finder_that_loses_a_root_escalates(monkeypatch):
+    poly_roots = puiseux.NumericContext.poly_roots
+    monkeypatch.setattr(puiseux.NumericContext, "poly_roots",
+                        lambda self, coeffs: poly_roots(self, coeffs)[1:])
+    _fails_at_every_tier("root finder returned 2 of 3 roots")
+
+
+def test_an_inconsistent_root_cluster_escalates(monkeypatch):
+    # three simple roots polished onto one point make a group of three
+    # that no single multiplicity explains
+    monkeypatch.setattr(puiseux, "_classify_root", lambda ctx, derivs, r, scale: (1.0, 1))
+    _fails_at_every_tier("inconsistent root cluster: sizes [1, 1, 1] in one group")
+
+
+def test_a_wrong_count_of_continuations_escalates(monkeypatch):
+    # each simple root of (z - 1)(z - 2)(z - 4) claimed double: the
+    # substitution then has one root through the origin, not two
+    edge_roots = puiseux._edge_roots
+    monkeypatch.setattr(puiseux, "_edge_roots", lambda ctx, coeffs, scale: [
+        (z, mu + 1) for z, mu in edge_roots(ctx, coeffs, scale)])
+    _fails_at_every_tier("root of multiplicity 2 produced 1 continuations")
+
+
+def test_a_coefficient_in_the_ambiguity_band_escalates(monkeypatch):
+    a = PuiseuxSeries([(1, 1.0)], 2)
+    b = PuiseuxSeries([(1, 1.0 + 1e-8)], 2)
+    with pytest.raises(puiseux._EscalationNeeded,
+                       match=r"^coefficient comparison at x\^1 falls in the ambiguity band "
+                             r"\(1\.000e-08\)$"):
+        puiseux._contacts(puiseux.NumericContext(53), [a], [b], 1)
+    # y = x against y = (1 + 10^-8) x: the band at 53 bits, a split at 128
+    pair_contact, outcomes = puiseux._pair_contact, []
+
+    def recorded(ctx, *args):
+        try:
+            result = pair_contact(ctx, *args)
+        except puiseux._EscalationNeeded as exc:
+            outcomes.append((ctx.bits, str(exc)))
+            raise
+        outcomes.append((ctx.bits, result))
+        return result
+
+    monkeypatch.setattr(puiseux, "_pair_contact", recorded)
+    assert contact(parse_poly("y-x"), parse_poly("100000000*y-100000001*x")) == 1
+    assert outcomes == [(53, "coefficient comparison at x^1 falls in the ambiguity band "
+                             "(1.000e-08)"), (128, 1)]
 
 
 def _roots(bits, coeffs):
@@ -455,6 +529,37 @@ def test_root_contacts_frozen():
     g = BRANCH_6_8_27_VARIANT
     jacg = jacobian_det(parse_poly("y^3-x^4"), g)
     assert root_contacts(g, jacg) == [Fraction(4, 3), Fraction(4, 3), 1, 1]
+
+
+def test_root_contacts_bound_is_the_deepest_depth(monkeypatch):
+    # the root y = x of h is shared exactly (contact inf), and y = x^3 + x^95
+    # stays undecided against y = x^3 + x^90 through depth 64; every edge is
+    # a binomial or one cluster, so no general root finder runs
+    _refuse_general_finder(monkeypatch)
+    f = parse_poly("(y-x)*(y-x-x^100)*(y-x^3-x^90)")
+    h = parse_poly("(y-x)*(y-x^3-x^95)")
+    with pytest.raises(ContactUndecidableError,
+                       match=r"^contact undecidable at current depth \(>= 64\)$") as err:
+        root_contacts(f, h)
+    assert err.value.bound == 64 and isinstance(err.value.bound, Fraction)
+    assert contact(f, h) == inf
+
+
+def test_a_supplied_root_names_the_index_of_every_entry_point():
+    f, f1 = BRANCH_4_6_13, parse_poly("y^2-x^3")
+    assert jnd_oracle(f, None, fk=f1) == jnd_formula(Semigroup((4, 6, 13)), 1)
+    assert contact_classes(f, None, fk=f1) == contact_classes(f, 1)
+
+
+def test_no_index_and_no_root_is_refused_before_any_jacobian(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a jacobian was built or measured")
+
+    monkeypatch.setattr(puiseux, "_measure", refuse)
+    monkeypatch.setattr(puiseux, "jacobian_det", refuse)
+    for call in (contact_classes, jnd_oracle):
+        with pytest.raises(ValidationError, match=r"^diagram index must lie in 0\.\.1, got None$"):
+            call(BRANCH_4_6_13, None)
 
 
 def test_contact_classes_structure():
