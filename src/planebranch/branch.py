@@ -45,10 +45,13 @@ def _gcd_chain(values) -> tuple:
 def _check_positive_ints(values, what: str) -> tuple:
     out = []
     for v in values:
+        # a refusal may quote a number past the digit limit
         if not _is_int(v):
-            raise ValidationError(f"{what} must be integers, got {v!r}")
+            with _digit_limit():
+                raise ValidationError(f"{what} must be integers, got {v!r}")
         if v <= 0:
-            raise ValidationError(f"{what} must be positive, got {v}")
+            with _digit_limit():
+                raise ValidationError(f"{what} must be positive, got {v}")
         out.append(v)
     if not out:
         raise ValidationError(f"{what} must be nonempty")
@@ -73,10 +76,12 @@ class _GcdChain(Value):
         values = _check_positive_ints(values, what)
         chain = _gcd_chain(values)
         if chain[-1] != 1:
-            raise ValidationError(f"gcd chain must end at 1, got {chain}")
+            with _digit_limit():
+                raise ValidationError(f"gcd chain must end at 1, got {chain}")
         for prev, cur in zip(chain, chain[1:]):
             if cur >= prev:
-                raise ValidationError(f"gcd chain must decrease strictly, got {chain}")
+                with _digit_limit():
+                    raise ValidationError(f"gcd chain must decrease strictly, got {chain}")
         if len(values) == 1 and values[0] != 1:
             raise ValidationError(smooth)
         return values, chain, tuple(a // b for a, b in zip(chain, chain[1:]))
@@ -104,7 +109,8 @@ class CharSequence(_GcdChain):
                                              "a sequence without further exponents must be (1)")
         for prev, cur in zip(exponents, exponents[1:]):
             if cur <= prev:
-                raise ValidationError(f"exponents must increase strictly: {prev} !< {cur}")
+                with _digit_limit():
+                    raise ValidationError(f"exponents must increase strictly: {prev} !< {cur}")
         self._set(exponents=exponents, gcds=chain, n_factors=n)
 
     def _key(self):
@@ -133,14 +139,15 @@ class Semigroup(_GcdChain):
         generators, chain, n = self._validate(generators, "semigroup generators",
                                               "a semigroup without extra generators must be (1,)")
         if len(generators) > 1 and generators[1] <= generators[0]:
-            raise ValidationError(
-                f"second generator must exceed the multiplicity, got {generators[:2]}"
-            )
+            with _digit_limit():
+                raise ValidationError(
+                    f"second generator must exceed the multiplicity, got {generators[:2]}"
+                )
         for q in range(1, len(generators) - 1):
             if generators[q + 1] <= n[q - 1] * generators[q]:
-                raise ValidationError(
-                    f"generator {generators[q + 1]} must exceed {n[q - 1]} * {generators[q]}"
-                )
+                with _digit_limit():
+                    raise ValidationError(f"generator {generators[q + 1]} must exceed "
+                                          f"{n[q - 1]} * {generators[q]}")
         self._set(generators=generators, gcds=chain, n_factors=n)
 
     def milnor(self) -> int:
@@ -191,7 +198,8 @@ def approximate_root_semigroup(s: Semigroup, k: int) -> Semigroup:
     generators scaled down by l_k.
     """
     if not _is_int(k) or not 0 <= k <= s.genus:
-        raise ValidationError(f"root index must lie in 0..{s.genus}, got {k!r}")
+        with _digit_limit():
+            raise ValidationError(f"root index must lie in 0..{s.genus}, got {k!r}")
     l_k = s.gcds[k]
     return Semigroup(tuple(v // l_k for v in s.generators[: k + 1]))
 
@@ -353,7 +361,8 @@ def semigroup_of(f: BiPoly) -> Semigroup:
     """Semigroup of the branch defined by a Weierstrass polynomial.
 
     The puiseux module's verify_cycle cross checks it against a floating
-    point expansion of the conjugate roots.
+    point expansion of the conjugate roots: their ramification and their
+    contacts, one characteristic exponent b_j/b_0 each.
     """
     s, _ = _am_iteration(f)
     return s

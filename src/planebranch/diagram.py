@@ -47,7 +47,8 @@ def _side(value, what: str):
     any value equal to inf."""
     v = inf if type(value) is not int and value == inf else _exact(value, what, "rational or inf")
     if v <= 0:
-        raise ValidationError(f"{what} must be positive, got {value!r}")
+        with _digit_limit():  # a refusal may quote a number past the digit limit
+            raise ValidationError(f"{what} must be positive, got {value!r}")
     return v
 
 
@@ -166,11 +167,13 @@ class NewtonDiagram(Value):
         for seg in segments:
             if not (isinstance(seg, ElementarySegment)
                     or isinstance(seg, (list, tuple)) and len(seg) == 2):
-                raise ValidationError(f"segment entry must be a pair, got {seg!r}")
+                with _digit_limit():
+                    raise ValidationError(f"segment entry must be a pair, got {seg!r}")
         sx = _exact(shift[0])
         sy = _exact(shift[1])
         if sx < 0 or sy < 0:
-            raise ValidationError(f"diagram shift must be nonnegative, got ({sx}, {sy})")
+            with _digit_limit():
+                raise ValidationError(f"diagram shift must be nonnegative, got ({sx}, {sy})")
         finite = []
         for seg in segments:
             if not isinstance(seg, ElementarySegment):

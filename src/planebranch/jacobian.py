@@ -34,7 +34,8 @@ __all__ = [
 
 def _check_semigroup(s):
     if not isinstance(s, Semigroup):
-        raise ValidationError(f"expected a Semigroup, got {s!r}")
+        with _digit_limit():  # a refusal may quote a number past the digit limit
+            raise ValidationError(f"expected a Semigroup, got {s!r}")
     if s.genus == 0:
         raise ValidationError("a smooth branch has no approximate jacobian diagrams")
 
@@ -42,7 +43,8 @@ def _check_semigroup(s):
 def _check_index(s: Semigroup, k: int):
     _check_semigroup(s)
     if not _is_int(k) or not 0 <= k <= s.genus - 1:
-        raise ValidationError(f"diagram index must lie in 0..{s.genus - 1}, got {k!r}")
+        with _digit_limit():
+            raise ValidationError(f"diagram index must lie in 0..{s.genus - 1}, got {k!r}")
 
 
 def jnd_formula(s: Semigroup, k: int) -> NewtonDiagram:
@@ -80,7 +82,8 @@ class JndFamily(Value):
 
     def __init__(self, semigroup: Semigroup, diagrams):
         if not isinstance(semigroup, Semigroup):
-            raise ValidationError(f"expected a Semigroup, got {semigroup!r}")
+            with _digit_limit():
+                raise ValidationError(f"expected a Semigroup, got {semigroup!r}")
         diagrams = _diagram_tuple(diagrams, "family diagrams must be NewtonDiagram objects")
         if len(diagrams) != semigroup.genus:
             raise ValidationError(
@@ -186,7 +189,9 @@ def family_from_json_dict(data):
 
 
 class RecoveryData(Value):
-    """Semigroup recovered from a diagram family, with the geometric readings."""
+    """Semigroup recovered from a diagram family, with the geometric readings,
+    each a line or a str.format template and its values: describe() formats
+    them, since a value may be past the digit limit."""
 
     __slots__ = ("semigroup", "readings")
 
@@ -197,7 +202,9 @@ class RecoveryData(Value):
         return self.semigroup, self.readings
 
     def describe(self) -> str:
-        return "\n".join(self.readings)
+        with _digit_limit():
+            return "\n".join(r if isinstance(r, str) else r[0].format(*r[1:])
+                             for r in self.readings)
 
 
 def _quotient(a, b, what: str) -> int:
@@ -229,17 +236,17 @@ def recovery_data(family) -> RecoveryData:
     first, *later = d.segments
     v0 = _quotient(first.length, first.height, "inclination of diagram k=0")
     top = q = _quotient(first.height, 1, "height of segment 1 of diagram k=0") + 1
-    gens, readings = [v0], [f"multiplicity {v0} = lowest inclination of diagram k=0"]
+    gens, readings = [v0], [("multiplicity {} = lowest inclination of diagram k=0", v0)]
     for i, seg in enumerate(later, start=2):
         n = _quotient(seg.height, q, f"height of segment {i} of diagram k=0 over {q}") + 1
         v = _quotient(seg.length, n - 1, f"generator read from segment {i} of diagram k=0")
         gens.append(v)
-        readings.append(f"generator {v} = length of segment {i} of diagram k=0 / {n - 1}, "
-                        f"with n_{i} = {n} = its height / {q} + 1")
+        readings.append(("generator {} = length of segment {} of diagram k=0 / {}, "
+                         "with n_{} = {} = its height / {} + 1", v, i, n - 1, i, n, q))
         q *= n
     gens.insert(1, q)
-    readings.insert(1, f"generator {q} = (height of segment 1 of diagram k=0 + 1) "
-                       f"* {q // top}")
+    readings.insert(1, ("generator {} = (height of segment 1 of diagram k=0 + 1) * {}",
+                        q, q // top))
     g = len(gens) - 1
     if len(diagrams) != g:
         raise ValidationError(
@@ -248,14 +255,16 @@ def recovery_data(family) -> RecoveryData:
     try:
         s = Semigroup(tuple(gens))
     except ValidationError as exc:
-        raise ValidationError(f"recovered values {gens} are not a branch semigroup: {exc}") from exc
+        with _digit_limit():
+            raise ValidationError(f"recovered values {gens} are not a branch semigroup: "
+                                  f"{exc}") from exc
     forward = jnd_family(s)
     for k in range(g):
         if forward.diagrams[k] != diagrams[k]:
             with _digit_limit():
                 raise ValidationError(f"diagram k={k} is not the jacobian diagram of {s}: "
                                       f"expected {forward.diagrams[k]}, got {diagrams[k]}")
-    readings.append(f"certified: closed formula on {s} reproduces all {g} diagrams")
+    readings.append(("certified: closed formula on {} reproduces all {} diagrams", s, g))
     return RecoveryData(s, readings)
 
 

@@ -320,7 +320,8 @@ def _edge_roots(ctx, coeffs, scale):
 def _certified_roots(ctx, derivs):
     """Distinct roots of derivs[0] from the general root finder, each
     polished and certified by _classify_root; derivs lists the polynomial
-    and all its derivatives."""
+    and all its derivatives.  Every group of raw roots holds as many as its
+    one multiplicity, so the multiplicities sum to the degree."""
     coeffs = derivs[0]
     deg = len(coeffs) - 1
     raw = ctx.poly_roots(coeffs)
@@ -338,7 +339,6 @@ def _certified_roots(ctx, derivs):
         else:
             groups.append([(z, mu)])
     out = []
-    total = 0
     for grp in groups:
         mus = {mu for _, mu in grp}
         if len(mus) != 1 or len(grp) != grp[0][1]:
@@ -348,9 +348,6 @@ def _certified_roots(ctx, derivs):
         mu = grp[0][1]
         center = sum(z for z, _ in grp) / len(grp)
         out.append((center, mu))
-        total += mu
-    if total != deg:
-        raise _EscalationNeeded(f"multiplicities sum to {total}, expected {deg}")
     return out
 
 
@@ -636,6 +633,12 @@ def _ratio(n, den):
     return inf if n == inf else Fraction(n, den)
 
 
+def _versus(got, want, den=1):
+    """Two lists of numbers over den, as "[got] vs [want]" in fractions."""
+    return " vs ".join("[" + ", ".join(str(_ratio(v, den)) for v in nums) + "]"
+                       for nums in (got, want))
+
+
 def _contacts(ctx, rows, cols, den):
     """Contact of each series in rows with each other series in cols, row by
     row, as integers over den; None where only a lower bound is known."""
@@ -679,14 +682,14 @@ def _root_contacts_deepening(f: BiPoly, h: BiPoly, depth, settled):
     raise ContactUndecidableError(Fraction(d))
 
 
-def contact(f: BiPoly, h: BiPoly, partial: bool = False, depth=None):
+def contact(f: BiPoly, h: BiPoly, depth=None):
     """Contact order of two germs: the largest order of coincidence between
     a Puiseux root of f and one of h.
 
     With no depth given, expansions are deepened until every root pair is
     decided.  When the contact exceeds what the deepest expansion can see,
-    returns the best lower bound if partial is set and raises
-    ContactUndecidableError otherwise.
+    raises ContactUndecidableError, whose bound is the deepest depth tried
+    and a lower bound for the contact.
     """
     if depth is not None:
         depth = _positive_depth(depth)
@@ -699,13 +702,7 @@ def contact(f: BiPoly, h: BiPoly, partial: bool = False, depth=None):
     def settled(values):
         return any(v == inf for v, _ in values) or all(decided for _, decided in values)
 
-    try:
-        values = _root_contacts_deepening(f, h, depth, settled)
-    except ContactUndecidableError as exc:
-        if partial:
-            return exc.bound
-        raise
-    return max(v for v, _ in values)
+    return max(v for v, _ in _root_contacts_deepening(f, h, depth, settled))
 
 
 def root_contacts(f: BiPoly, h: BiPoly, depth=None):
@@ -803,6 +800,24 @@ def _verifier_depth(s) -> Fraction:
     """b_g/b_0 + 1, the depth of both verifiers, from the semigroup."""
     b = semigroup_to_char(s).exponents
     return Fraction(b[-1], b[0]) + 1
+
+
+def _conjugate_contacts(ctx, sigma, b0):
+    """den, the lcm of b_0 and the denominators of f's roots sigma, and
+    the contacts of each root with its conjugates over den."""
+    den = lcm(b0, *[ps._den for ps in sigma])
+    return den, _decided_contacts(ctx, sigma, sigma, den, "conjugate roots of f")
+
+
+def _conjugate_profile(b, l, conjugates, den, k):
+    """(ok, detail) of the conjugate contacts over den of a branch of
+    characteristic b and gcds l: above b_(k+1)/b_0 each root shares b_j/b_0
+    with exactly l_(j-1) - l_j conjugates, j = k+2..g; k = -1 is all of them."""
+    unit = den // b[0]
+    expected = [b[j] * unit for j in range(k + 2, len(b)) for _ in range(l[j - 1] - l[j])]
+    profiles = [sorted(v for v in row if v > b[k + 1] * unit) for row in conjugates]
+    wrong = next((p for p in profiles if p != expected), None)
+    return wrong is None, "" if wrong is None else _versus(wrong, expected, den)
 
 
 def _setup(f: BiPoly, k=None, fk: BiPoly | None = None):
@@ -942,31 +957,30 @@ def jnd_oracle(f: BiPoly, k: int | None, fk: BiPoly | None = None) -> NewtonDiag
     return _one_index(f, k, fk)[2]
 
 
-def verify_cycle(f: BiPoly, depth=None):
+def verify_cycle(f: BiPoly):
     """Certify numerically that f defines a single branch.
 
-    The roots must form one conjugacy cycle: full count, full ramification
-    in every root, a common exponent support, and matching coefficient
-    magnitudes across conjugates.  The expander rotates every conjugate out
-    of one expanded root per orbit, so the last two hold by construction:
-    they check the rotation, not the branch.
+    Its roots, expanded at b_g/b_0 + 1, must form one conjugacy cycle: the
+    full count, ramification b_0 in every root, and the conjugate contact
+    profile of the whole cycle, each root sharing b_j/b_0 with exactly
+    l_(j-1) - l_j conjugates for j = 1..g.  The expander escalates unless it
+    finds every root, so the count holds by construction; the other two
+    check the branch, every characteristic exponent included.
     """
     s = semigroup_of(f)
     b0 = s.multiplicity
-    if depth is None:
-        depth = _verifier_depth(s)
-    series = puiseux_expand(f, depth)
-    report = []
-    report.append(("root count", len(series) == f.deg_y(),
-                   f"{len(series)} of {f.deg_y()}"))
+    depth = _verifier_depth(s)
+
+    def worker(ctx):
+        sigma = _expand_bipoly(ctx, f, depth)
+        return sigma, *_conjugate_contacts(ctx, sigma, b0)
+
+    series, den, conjugates = _with_escalation(worker)
     rams = sorted({ps.ramification() for ps in series})
-    report.append(("ramification", rams == [b0], f"{rams} vs [{b0}]"))
-    supports = {ps.support() for ps in series}
-    report.append(("common support", len(supports) == 1, f"{len(supports)} support sets"))
-    if len(supports) == 1 and series:
-        mags_ok = all(min(col) > 0 and max(col) / min(col) <= 1 + 1e-6
-                      for col in zip(*([abs(c) for _, c in ps.terms] for ps in series)))
-        report.append(("conjugate magnitudes", mags_ok, "moduli agree across the cycle"))
+    b = semigroup_to_char(s).exponents
+    report = [("root count", len(series) == f.deg_y(), f"{len(series)} of {f.deg_y()}"),
+              ("ramification", rams == [b0], f"{rams} vs [{b0}]"),
+              ("conjugate contact profile", *_conjugate_profile(b, s.gcds, conjugates, den, -1))]
     failures = [name for name, ok, _ in report if not ok]
     if failures:
         raise VerificationError(f"cycle verification failed: {failures}")
@@ -981,10 +995,9 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
     sizes, both diagram totals, and the exact totals I(J_k, f) and
     I(J_k, f_k).  One numeric attempt per tier measures every index and
     the contacts between conjugate roots of f, so an escalation anywhere
-    reruns all of it.  The profile of a root is the sorted list of its
-    contacts with the other conjugates above b_(k+1)/b_0, which must be
-    b_j/b_0 repeated l_(j-1) - l_j times for j = k+2..g; the deep classes
-    must lie one at each such b_j/b_0 and hold the predicted root counts.
+    reruns all of it.  The profile is _conjugate_profile's rule at k; the
+    deep classes must lie one at each b_j/b_0, j = k+2..g, and hold the
+    predicted root counts.
     The exact totals come from intersection_multiplicity, which reads them
     off the expansion in the characteristic roots of the branch just certified;
     only I(J_k, fk) for a supplied fk that is none of them takes the
@@ -1002,33 +1015,22 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
 
     def worker(ctx):
         sigma, measured = _measure(ctx, f, roots, depth)
-        den = lcm(b0, *(sa._den for sa in sigma))
-        return measured, den, _decided_contacts(ctx, sigma, sigma, den, "conjugate roots of f")
+        return measured, *_conjugate_contacts(ctx, sigma, b0)
 
     measured, den, conjugates = _with_escalation(worker)
-    unit = den // b0
     family = jnd_family(s)
     report = []
 
     def check(name, ok, detail=""):
         report.append((name, bool(ok), detail))
 
-    def fractions(nums, scale=den):
-        return "[" + ", ".join(str(_ratio(v, scale)) for v in nums) + "]"
+    def same(name, got, want):
+        check(name, got == want, f"{got} vs {want}")
 
     for kk, (classes, jac_counts, diagram) in measured.items():
         tag = f"k={kk}"
-        check(f"{tag}: oracle diagram matches formula", diagram == family[kk],
-              f"{diagram} vs {family[kk]}")
-
-        # a conjugate contact of a branch is a characteristic exponent b_j/b_0,
-        # shared with l_(j-1) - l_j conjugates whichever the root
-        expected_profile = [b[j] * unit for j in range(kk + 2, g + 1)
-                            for _ in range(l[j - 1] - l[j])]
-        profiles = [sorted(v for v in row if v > b[kk + 1] * unit) for row in conjugates]
-        wrong = next((p for p in profiles if p != expected_profile), None)
-        check(f"{tag}: conjugate contact profile", wrong is None,
-              "" if wrong is None else f"{fractions(wrong)} vs {fractions(expected_profile)}")
+        same(f"{tag}: oracle diagram matches formula", diagram, family[kk])
+        check(f"{tag}: conjugate contact profile", *_conjugate_profile(b, l, conjugates, den, kk))
 
         expected_jac = n[kk] * (l[kk + 1] - 1)
         check(
@@ -1041,7 +1043,7 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
         expected_contacts = [Fraction(b[i], b0) for i in range(kk + 2, g + 1)]
         sizes = [cls.x_intersection for cls in classes[1:]]
         expected_sizes = [(b0 // l[i - 1]) * (n[i - 1] - 1) for i in range(kk + 2, g + 1)]
-        detail = (f"contacts {fractions(contacts, 1)} vs {fractions(expected_contacts, 1)}"
+        detail = (f"contacts {_versus(contacts, expected_contacts)}"
                   if contacts != expected_contacts
                   else f"{sizes} vs {expected_sizes}" if sizes != expected_sizes else "")
         check(f"{tag}: class sizes", not detail, detail)
@@ -1055,24 +1057,12 @@ def verify_decomposition(f: BiPoly, k: int | None = None, fk: BiPoly | None = No
         v_next = s.generators[kk + 1]
         height_total = sum(cls.fk_intersection for cls in classes)
         length_total = sum(cls.f_intersection for cls in classes)
-        check(
-            f"{tag}: height total is mu_k + v_(k+1) - 1",
-            height_total == mu_k + v_next - 1,
-            f"{height_total} vs {mu_k + v_next - 1}",
-        )
-        check(
-            f"{tag}: length total is mu + v_(k+1) - 1",
-            length_total == s.milnor() + v_next - 1,
-            f"{length_total} vs {s.milnor() + v_next - 1}",
-        )
+        same(f"{tag}: height total is mu_k + v_(k+1) - 1", height_total, mu_k + v_next - 1)
+        same(f"{tag}: length total is mu + v_(k+1) - 1", length_total, s.milnor() + v_next - 1)
 
         fk_k, jac = roots[kk]
-        exact_len = intersection_multiplicity(jac, f)
-        exact_ht = intersection_multiplicity(jac, fk_k)
-        check(f"{tag}: exact length total", exact_len == length_total,
-              f"{exact_len} vs {length_total}")
-        check(f"{tag}: exact height total", exact_ht == height_total,
-              f"{exact_ht} vs {height_total}")
+        same(f"{tag}: exact length total", intersection_multiplicity(jac, f), length_total)
+        same(f"{tag}: exact height total", intersection_multiplicity(jac, fk_k), height_total)
 
     failures = [(name, detail) for name, ok, detail in report if not ok]
     if failures:

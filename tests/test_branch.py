@@ -62,6 +62,23 @@ def test_semigroup_validation():
         Semigroup((Fraction(4), Fraction(6), 13))  # generators are ints
 
 
+@pytest.mark.parametrize("call", [
+    lambda: Semigroup((4, 2 * 10**4400 + 2, 13)),
+    lambda: Semigroup((-10**4400, 3)),
+    lambda: Semigroup((Fraction(10**4400), 3)),
+    lambda: Semigroup((10**4400,)),
+    lambda: Semigroup((6 * 10**4400, 6 * 10**4400, 1)),
+    lambda: Semigroup((2 * 10**4400 + 1, 2)),
+    lambda: CharSequence((4, 2 * 10**4400 + 2, 7)),
+    lambda: approximate_root_semigroup(Semigroup((4, 6, 13)), 10**4400),
+], ids=["generator growth", "negative generator", "generator no int", "gcd chain end",
+        "gcd chain stall", "second generator", "exponents increase", "root index"])
+def test_refusals_past_the_digit_limit(digit_limit, call):
+    with pytest.raises(ValidationError,
+                       match=f"^cannot print a number of more than {digit_limit} digits$"):
+        call()
+
+
 def test_char_sequence_validation():
     assert str(CharSequence((4, 6, 7))) == "(4; 6, 7)"
     with pytest.raises(ValidationError):

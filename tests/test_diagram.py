@@ -243,6 +243,17 @@ def test_difference_refusals_past_the_digit_limit(digit_limit):
             NewtonDiagram([E(2 * big, 1)]) - b
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ElementarySegment(-10**4400, 1),
+    lambda: NewtonDiagram([], (-10**4400, 0)),
+    lambda: NewtonDiagram([10**4400]),
+], ids=["negative side", "negative shift", "entry that is no pair"])
+def test_constructor_refusals_past_the_digit_limit(digit_limit, call):
+    with pytest.raises(ValidationError,
+                       match=f"^cannot print a number of more than {digit_limit} digits$"):
+        call()
+
+
 def test_difference_requires_summand():
     with pytest.raises(ValidationError):
         NewtonDiagram([E(4, 1)]) - NewtonDiagram([E(3, 2)])

@@ -235,6 +235,29 @@ def test_recovery_refusals_past_the_digit_limit(digit_limit):
             recovery_data(family)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: jnd_formula(Semigroup((4, 6, 13)), 10**4400),
+    lambda: jnd_formula(10**4400, 0),
+    lambda: JndFamily(10**4400, []),
+    lambda: recovery_data([NewtonDiagram([(6 * 10**4400, 3)])]),
+], ids=["diagram index", "no semigroup", "family of no semigroup", "recovered values"])
+def test_formula_and_recovery_refusals_past_the_digit_limit(digit_limit, call):
+    with pytest.raises(ValidationError,
+                       match=f"^cannot print a number of more than {digit_limit} digits$"):
+        call()
+
+
+def test_a_family_past_the_digit_limit_recovers_and_refuses_only_to_print(digit_limit):
+    # the readings quote v_1, one digit past the limit, and are formatted
+    # only when described
+    s = Semigroup((2, 10**4400 + 1))
+    data = recovery_data(jnd_family(s))
+    assert data.semigroup == s
+    with pytest.raises(ValidationError,
+                       match=f"^cannot print a number of more than {digit_limit} digits$"):
+        data.describe()
+
+
 def test_recovery_roundtrip(rng):
     for _ in range(300):
         s = random_semigroup(rng)

@@ -189,6 +189,23 @@ def test_a_wrong_count_of_continuations_escalates(monkeypatch):
     _fails_at_every_tier("root of multiplicity 2 produced 1 continuations")
 
 
+def test_a_lost_root_of_an_edge_escalates(monkeypatch):
+    # an edge that reports two of its three roots leaves the level one short
+    edge_roots = puiseux._edge_roots
+    monkeypatch.setattr(puiseux, "_edge_roots",
+                        lambda ctx, coeffs, scale: edge_roots(ctx, coeffs, scale)[1:])
+    _fails_at_every_tier("expected 3 local roots, assembled 2")
+
+
+def test_a_substitution_that_keeps_no_term_escalates(monkeypatch):
+    # a root claimed of multiplicity 0 sets the reach to the edge's own
+    # value, at or below every term of F, so the substitution builds none
+    edge_roots = puiseux._edge_roots
+    monkeypatch.setattr(puiseux, "_edge_roots", lambda ctx, coeffs, scale: [
+        (z, 0) for z, _ in edge_roots(ctx, coeffs, scale)])
+    _fails_at_every_tier("substitution cancelled to zero")
+
+
 def test_a_coefficient_in_the_ambiguity_band_escalates(monkeypatch):
     a = PuiseuxSeries([(1, 1.0)], 2)
     b = PuiseuxSeries([(1, 1.0 + 1e-8)], 2)
@@ -282,7 +299,6 @@ def test_dropped_terms_keep_the_truncation():
     with pytest.raises(ContactUndecidableError) as err:
         contact(far, CUSP)
     assert err.value.bound == 64
-    assert contact(far, CUSP, partial=True) == 64
 
 
 def _agree_below(low, high, depth):
@@ -499,7 +515,6 @@ def test_contact_undecidable_without_enough_depth():
     wavy = parse_poly("y^2-x^3-x^4")
     shared = wavy * parse_poly("y-x")
     # the common root only ever agrees within the expansion window
-    assert contact(wavy, shared, partial=True, depth=4) == 4
     with pytest.raises(ContactUndecidableError) as err:
         contact(wavy, shared, depth=4)
     assert err.value.bound == 4
@@ -675,14 +690,24 @@ def test_a_root_of_wrong_contact_is_rejected_before_any_expansion(monkeypatch):
             entry(BRANCH_4_6_13, 1, fk=parse_poly("y^2-x^4"))
 
 
+_CYCLE_CHECKS = ["root count", "ramification", "conjugate contact profile"]
+
+
+def test_a_vanishing_jacobian_is_refused_before_any_expansion(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a vanishing jacobian reached the numeric route")
+
+    monkeypatch.setattr(puiseux, "jacobian_det", lambda fk, f: BiPoly.zero())
+    monkeypatch.setattr(puiseux, "_expand_bipoly", refuse)
+    for entry in (contact_classes, jnd_oracle, verify_decomposition):
+        with pytest.raises(ValidationError,
+                           match=r"^the jacobian determinant vanishes identically$"):
+            entry(BRANCH_4_6_13, 0)
+
+
 def test_verify_cycle():
     report = verify_cycle(BRANCH_4_6_13)
-    assert [name for name, _, _ in report] == [
-        "root count",
-        "ramification",
-        "common support",
-        "conjugate magnitudes",
-    ]
+    assert [name for name, _, _ in report] == _CYCLE_CHECKS
     assert all(ok for _, ok, _ in report)
     # reducible input never reaches the cycle checks: the exact semigroup
     # front gate already rejects it
@@ -690,12 +715,35 @@ def test_verify_cycle():
         verify_cycle(parse_poly("y^2-x^2"))
 
 
-def test_verify_cycle_reports_a_failed_check():
-    # <4, 6, 13> reaches ramification 4 only at its last exponent 7/4,
-    # which an expansion to depth 7/4 leaves out
+@pytest.mark.parametrize("gens", [None, (12, 18, 39, 119), (24, 32, 100, 211)],
+                         ids=["y-x^2", "<12,18,39,119>", "<24,32,100,211>"])
+def test_verify_cycle_measures_the_whole_profile(monkeypatch, gens):
+    # the roots are expanded and their conjugate contacts measured in one
+    # attempt of verify_cycle's own, at the verifiers' one depth
+    f = parse_poly("y-x^2") if gens is None else build_test_branch(Semigroup(gens))
+
+    def refuse(*args):
+        raise AssertionError("verify_cycle went through puiseux_expand")
+
+    monkeypatch.setattr(puiseux, "puiseux_expand", refuse)
+    report = verify_cycle(f)
+    assert [name for name, _, _ in report] == _CYCLE_CHECKS
+    assert all(ok for _, ok, _ in report)
+
+
+def test_verify_cycle_reports_a_failed_check(monkeypatch):
+    # the roots of <4, 6, 13> split off at 3/2, 3/2 and 7/4; <4, 6, 15> has
+    # characteristic (4; 6, 9), so its profile wants 9/4 where 7/4 is
+    # measured, while the count and the ramification 4 still hold
+    details = []
+    profile = puiseux._conjugate_profile
+    monkeypatch.setattr(puiseux, "_conjugate_profile",
+                        lambda *args: details.append(profile(*args)) or details[-1])
+    monkeypatch.setattr(puiseux, "semigroup_of", lambda f: Semigroup((4, 6, 15)))
     with pytest.raises(VerificationError,
-                       match=r"^cycle verification failed: \['ramification'\]$"):
-        verify_cycle(BRANCH_4_6_13, depth="7/4")
+                       match=r"^cycle verification failed: \['conjugate contact profile'\]$"):
+        verify_cycle(BRANCH_4_6_13)
+    assert details == [(False, "[3/2, 3/2, 7/4] vs [3/2, 3/2, 9/4]")]
 
 
 def test_undecided_contacts_escalate():
@@ -974,7 +1022,6 @@ _RATIONAL_ARGUMENTS = {
     "contact": lambda v: contact(CUSP, parse_poly("y"), depth=v),
     "contact of a curve with itself": lambda v: contact(CUSP, CUSP, depth=v),
     "root_contacts": lambda v: root_contacts(CUSP, parse_poly("y"), depth=v),
-    "verify_cycle": lambda v: verify_cycle(CUSP, depth=v),
     "ElementarySegment.scaled": lambda v: E(1, 2).scaled(v),
     "NewtonDiagram.scaled": lambda v: D([E(1, 2)], shift=(1, 0)).scaled(v),
 }
@@ -997,7 +1044,6 @@ def test_rational_arguments_accept_ints_fractions_and_strings():
         assert len(puiseux_expand(CUSP, depth)) == 2
         assert contact(CUSP, parse_poly("y"), depth=depth) == Fraction(3, 2)
         assert root_contacts(CUSP, parse_poly("y"), depth=depth) == [Fraction(3, 2)]
-    assert len(verify_cycle(CUSP, depth="5/2")) == 4
 
 
 @pytest.mark.parametrize("bad", ["x", None, True, 128.0], ids=["x", "None", "True", "128.0"])
