@@ -252,9 +252,11 @@ def approximate_root(f: BiPoly, p: int) -> BiPoly:
         raise ValidationError("approximate roots need a polynomial monic in y")
     d = f.deg_y()
     if not _is_int(p) or p < 1:
-        raise ValidationError(f"root exponent must be a positive integer, got {p!r}")
+        with _digit_limit():  # a refusal may quote a number past the digit limit
+            raise ValidationError(f"root exponent must be a positive integer, got {p!r}")
     if d % p:
-        raise ValidationError(f"root exponent {p} must divide the y-degree {d}")
+        with _digit_limit():
+            raise ValidationError(f"root exponent {p} must divide the y-degree {d}")
     m = d // p
     rows, delta = _clear_denominators(f)
     U = rows[::-1]

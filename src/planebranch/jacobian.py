@@ -169,17 +169,17 @@ def family_from_json_dict(data):
             raise ValidationError("each family entry needs a diagram index 'k'")
         k = entry["k"]
         if not _is_int(k) or k < 0:
-            raise ValidationError(f"diagram index must be a nonnegative integer, got {k!r}")
+            with _digit_limit():
+                raise ValidationError(f"diagram index must be a nonnegative integer, got {k!r}")
         if k in by_k:
             raise ValidationError(f"duplicate diagram index k={k}")
         by_k[k] = NewtonDiagram.from_json_dict(entry)
     g = len(by_k)
     missing = [k for k in range(g) if k not in by_k]
     if missing:
-        raise ValidationError(
-            f"family is truncated: indices 0..{max(by_k)} imply genus {max(by_k) + 1} "
-            f"but k={missing} are absent"
-        )
+        with _digit_limit():
+            raise ValidationError(f"family is truncated: indices 0..{max(by_k)} imply genus "
+                                  f"{max(by_k) + 1} but k={missing} are absent")
     diagrams = [by_k[k] for k in range(g)]
     if claimed is not None and claimed.genus != g:
         raise ValidationError(

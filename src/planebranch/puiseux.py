@@ -163,11 +163,11 @@ class PuiseuxSeries(Value):
     __slots__ = ("terms", "truncation", "context", "_den", "_nums")
 
     def __init__(self, terms, truncation, context=None):
-        terms = tuple(sorted(terms, key=lambda t: t[0]))
-        exps = [Fraction(e) for e, _ in terms]
-        den = lcm(1, *(e.denominator for e in exps))
+        terms = tuple(sorted([(_rational(e, "series exponents", "rational"), c) for e, c in terms],
+                             key=lambda t: t[0]))
+        den = lcm(1, *(e.denominator for e, _ in terms))
         self._set(terms=terms, truncation=truncation, context=context, _den=den,
-                  _nums=tuple([e.numerator * (den // e.denominator) for e in exps]))
+                  _nums=tuple([e.numerator * (den // e.denominator) for e, _ in terms]))
 
     @classmethod
     def _of_tail(cls, den, tail, truncation, context):
@@ -360,7 +360,7 @@ def _poly_data(ctx, f: BiPoly):
     return {(i, j): ctx.number(c) for (i, j), c in f.terms()}
 
 
-def _expand(ctx, F, den, base, dn, dd, exact=inf):
+def _expand(ctx, F, den, base, dn, dd, cut=False):
     """All Puiseux tails of F(x, y) = 0 with y -> 0, complete below depth.
 
     F maps (E, j) to the coefficient of x^(E/den) y^j, with E and den
@@ -372,8 +372,6 @@ def _expand(ctx, F, den, base, dn, dd, exact=inf):
     level adds its own term by appending.  cut means the tail is known only
     below depth; otherwise it is exact.  Leaf truncations telescope to the
     top depth, so depth and inf are the only truncations a series can have.
-    exact is inf while nothing above was cut; otherwise only the first
-    exact zero roots of F can be exact.
 
     Terms that cannot matter are dropped.  Let m be the j of the hull's
     bottom-right vertex (the one at E = 0), the number of roots expected.
@@ -386,32 +384,11 @@ def _expand(ctx, F, den, base, dn, dd, exact=inf):
     exponents E'/den' >= (rest - q)*m + q*j >= (rest - q)*mu, with mu <= m
     the multiplicity of c, which is the next level's root count.  So its
     images are terms the next level drops too, and by induction no dropped
-    term ever reaches an edge or an edge polynomial.  The hull is built
+    term ever lands on an edge or an edge polynomial.  The hull is built
     before the drop, so the count of steep tails (q >= rest) is the same
     as without it.  A dropped term may have been all that kept y from
-    dividing a later F; once anything was dropped (cut), a zero root is
-    therefore known only below depth, not exactly.
-
-    The next level's drop is applied here, before substituting.  A term
-    x^(E/den) y^j goes to x^((b - h)/den') (c + y)^j, where b = scale*E +
-    slope*j and h = scale*e1 + slope*j1 is the edge's value, the next
-    level's shift.  Its (h, mu) coefficient is the first nonzero
-    derivative of the edge polynomial at c, so that level's root count is
-    at most mu, or the count of continuations fails and the tier escalates
-    either way.  A term with b >= reach = h + ceil((rest - q)*mu*den')
-    therefore maps only to terms the next level would drop, and
-    _substitute never builds them.  Of the skipped terms at one b, the one
-    with the highest j alone makes its (b, j) column, which survives the
-    chop, so the next level would have dropped something: it is cut, as
-    its own drop would have made it.  Every column it keeps is summed from
-    the same terms in the same order as without the skip.  Only its count
-    of zero roots can grow, as a skipped term may have kept y from
-    dividing: those past the lowest y-power the whole substitution would
-    have had are cut, and _substitute reads that power off the skipped
-    terms' lower columns while nothing is cut.  Each F is scaled by a
-    power of two, which is exact, so the levels below see the same bits
-    up to that power whichever terms were built, and every tail comes out
-    the same.
+    dividing a later F; once anything was dropped at a level above (the cut
+    argument), a zero root is therefore known only below depth, not exactly.
 
     Each edge expands one root per orbit and rotates it into the others.
     Its lattice points have j - j1 a multiple of w = width/gcd(width,
@@ -422,13 +399,13 @@ def _expand(ctx, F, den, base, dn, dd, exact=inf):
     finer tden, fixes F and sends the root c to c*e^(2 pi i r*slope/scale),
     so r = 0..scale-1 runs over c's orbit, and each tail of c to a tail of
     that image: its terms c*x^(N/tden) times e^(2 pi i r*den*N/tden).  A
-    rotation keeps every exponent and magnitude, so every hull, drop, skip
-    and cut flag above is the same for each image as for c.
+    rotation keeps every exponent and magnitude, so every hull, drop and
+    cut flag above is the same for each image as for c.
     """
     out = []
     j_min = min(j for _, j in F)
     if j_min > 0:
-        out.extend((den, [], i >= exact) for i in range(j_min))
+        out.extend((den, [], cut) for _ in range(j_min))
         F = {(e, j - j_min): c for (e, j), c in F.items()}
     degree = max(j for _, j in F)
     if degree == 0:
@@ -437,12 +414,12 @@ def _expand(ctx, F, den, base, dn, dd, exact=inf):
     expected = hull[-1][0]
     limit = -(-(dn * den - base * dd) * expected // dd)
     kept = {key: c for key, c in F.items() if key[0] < limit}
-    cut = exact != inf or len(kept) < len(F)
+    cut = cut or len(kept) < len(F)
     F = kept
     for (j1, e1), (j2, e2) in zip(hull, hull[1:]):
         width = j2 - j1
         # the slope q = (e1 - e2)/(width*den) is slope/sub_den, and the
-        # root reaches at/sub_den, in the finest denominator so far
+        # root runs to at/sub_den, in the finest denominator so far
         step = width * den
         sub_den = lcm(den, step // gcd(e1 - e2, step))
         scale = sub_den // den
@@ -455,11 +432,9 @@ def _expand(ctx, F, den, base, dn, dd, exact=inf):
         for (e, j), c in F.items():
             if j1 <= j <= j2 and (e - e1) * width == (e2 - e1) * (j - j1):
                 phi[j - j1] = c
-        h = scale * e1 + slope * j1
         for root, mu in _edge_roots(ctx, phi, scale):
-            reach = h - (at * dd - dn * sub_den) * mu // dd
-            sub, sub_exact = _substitute(ctx, F, scale, slope, root, reach, cut)
-            tails = _expand(ctx, sub, sub_den, at, dn, dd, sub_exact)
+            sub = _substitute(ctx, F, scale, slope, root)
+            tails = _expand(ctx, sub, sub_den, at, dn, dd, cut)
             if len(tails) != mu:
                 raise _EscalationNeeded(
                     f"root of multiplicity {mu} produced {len(tails)} continuations"
@@ -476,18 +451,13 @@ def _expand(ctx, F, den, base, dn, dd, exact=inf):
     return out
 
 
-def _substitute(ctx, F, scale, slope, c, reach, cut):
-    """F(x, x^q (c + y)) divided by its lowest power of x, chopped, and the
-    next level's count of zero roots that can be exact.
+def _substitute(ctx, F, scale, slope, c):
+    """F(x, x^q (c + y)) divided by its lowest power of x, chopped.
 
     Exponents move to the finer denominator den' = scale*den, in which
     q = slope/den': x^(E/den) y^j becomes x^((scale*E + slope*j)/den') (c + y)^j.
-    Terms whose new exponent is at or past reach are skipped (see _expand),
-    and the result is scaled by 2^-k, top < 2^k for its largest coefficient
-    top.  The count is 0 when cut, inf when nothing was skipped, and
-    otherwise the lowest y-power the result would have had with the
-    skipped terms: the same sums and chop over their y^t columns, t below
-    the lowest power kept.
+    The result is scaled by 2^-k, top < 2^k for its largest coefficient
+    top, which rounds nothing.
     """
     # powers[i] = c^i, multiplied up from 1 once and shared by every term
     powers = [1]
@@ -495,12 +465,8 @@ def _substitute(ctx, F, scale, slope, c, reach, cut):
         powers.append(powers[-1] * c)
     sums = {}
     peaks = {}
-    skipped = []
     for (e, j), a in F.items():
         base = scale * e + slope * j
-        if base >= reach:
-            skipped.append((base, j, a))
-            continue
         for t in range(j, -1, -1):
             term = a * comb(j, t) * powers[j - t]
             key = (base, t)
@@ -517,20 +483,9 @@ def _substitute(ctx, F, scale, slope, c, reach, cut):
                 top = abs(val)
     if not new:
         raise _EscalationNeeded("substitution cancelled to zero")
-    exact = 0 if cut else inf
-    if skipped and not cut:
-        low = min(j for _, j in new)
-        columns = {}
-        for base, j, a in skipped:
-            for t in range(min(j, low - 1), -1, -1):
-                term = a * comb(j, t) * powers[j - t]
-                col, peak = columns.get((base, t), (0, 0.0))
-                columns[base, t] = (col + term, max(peak, abs(term)))
-        exact = min([low] + [t for (_, t), (col, peak) in columns.items()
-                             if abs(col) > ctx.chop_tol * peak])
     shift = min(e for e, _ in new)
     norm = ctx.unit_scale(top)
-    return {(e - shift, j): v * norm for (e, j), v in new.items()}, exact
+    return {(e - shift, j): v * norm for (e, j), v in new.items()}
 
 
 def _sort_key(series: PuiseuxSeries):
@@ -857,7 +812,7 @@ def _setup(f: BiPoly, k=None, fk: BiPoly | None = None):
         # with f over the d = b_0/l_k roots of fk.  No root passes
         # b_(k+1)/b_0, which needs ramification b_0/l_(k+1) > d, so
         # I(f, fk) <= I(f, f_k) = v_(k+1), equal exactly when every
-        # root reaches b_(k+1)/b_0: each then has ramification d, so
+        # root attains b_(k+1)/b_0: each then has ramification d, so
         # fk is irreducible, its roots conjugate
         if (meet := intersection_multiplicity(f, fk)) != s.generators[k + 1]:
             raise ValidationError(f"the supplied root has intersection number {meet} with "

@@ -71,8 +71,11 @@ def test_semigroup_validation():
     lambda: Semigroup((2 * 10**4400 + 1, 2)),
     lambda: CharSequence((4, 2 * 10**4400 + 2, 7)),
     lambda: approximate_root_semigroup(Semigroup((4, 6, 13)), 10**4400),
+    lambda: approximate_root(parse_poly("y^2-x^3"), 10**4400),
+    lambda: approximate_root(parse_poly("y^2-x^3"), -10**4400),
 ], ids=["generator growth", "negative generator", "generator no int", "gcd chain end",
-        "gcd chain stall", "second generator", "exponents increase", "root index"])
+        "gcd chain stall", "second generator", "exponents increase", "root index",
+        "root exponent", "negative root exponent"])
 def test_refusals_past_the_digit_limit(digit_limit, call):
     with pytest.raises(ValidationError,
                        match=f"^cannot print a number of more than {digit_limit} digits$"):

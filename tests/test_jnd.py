@@ -240,7 +240,11 @@ def test_recovery_refusals_past_the_digit_limit(digit_limit):
     lambda: jnd_formula(10**4400, 0),
     lambda: JndFamily(10**4400, []),
     lambda: recovery_data([NewtonDiagram([(6 * 10**4400, 3)])]),
-], ids=["diagram index", "no semigroup", "family of no semigroup", "recovered values"])
+    lambda: family_from_json_dict({"diagrams": [{"k": -10**4400}]}),
+    lambda: family_from_json_dict({"diagrams": [
+        {**jnd_family(Semigroup((4, 6, 13))).to_json_dict()["diagrams"][0], "k": 10**4400}]}),
+], ids=["diagram index", "no semigroup", "family of no semigroup", "recovered values",
+        "negative family index", "truncated family"])
 def test_formula_and_recovery_refusals_past_the_digit_limit(digit_limit, call):
     with pytest.raises(ValidationError,
                        match=f"^cannot print a number of more than {digit_limit} digits$"):

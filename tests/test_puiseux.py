@@ -64,6 +64,17 @@ def test_order_of_an_empty_series():
     assert PuiseuxSeries([], 2).order() is None
 
 
+def test_series_exponents_are_read_as_fractions():
+    # an exponent is held as a Fraction, so str() can print it
+    for bad in (0.5, "a", True, None):
+        with pytest.raises(ValidationError, match="^series exponents must be rational, got "):
+            PuiseuxSeries([(bad, 1.0)], 2)
+    s = PuiseuxSeries([("3/2", 1.0), (1, 2.0)], 2)
+    assert [type(e) for e in s.support()] == [Fraction, Fraction]
+    assert (s.support(), s.ramification()) == ((1, Fraction(3, 2)), 2)
+    assert str(s) == "2*x^1 + 1*x^(3/2) + O(x^2)"
+
+
 def test_expansion_input_validation():
     with pytest.raises(ValidationError):
         puiseux_expand(CUSP, 0)
@@ -198,11 +209,15 @@ def test_a_lost_root_of_an_edge_escalates(monkeypatch):
 
 
 def test_a_substitution_that_keeps_no_term_escalates(monkeypatch):
-    # a root claimed of multiplicity 0 sets the reach to the edge's own
-    # value, at or below every term of F, so the substitution builds none
-    edge_roots = puiseux._edge_roots
-    monkeypatch.setattr(puiseux, "_edge_roots", lambda ctx, coeffs, scale: [
-        (z, 0) for z, _ in edge_roots(ctx, coeffs, scale)])
+    # an infinite chop tolerance drops every sum, so each substitution
+    # keeps nothing
+    init = puiseux.NumericContext.__init__
+
+    def chop_everything(ctx, bits=53):
+        init(ctx, bits)
+        ctx.chop_tol = inf
+
+    monkeypatch.setattr(puiseux.NumericContext, "__init__", chop_everything)
     _fails_at_every_tier("substitution cancelled to zero")
 
 
@@ -347,8 +362,8 @@ def _bits_of(series):
              s.context.bits) for s in series]
 
 
-# zero roots that stay exact although terms that kept y from dividing were
-# skipped before the substitution that reaches them
+# zero roots that stay exact: nothing above them is dropped, though the
+# level that finds them drops the images of x^6, x^9 and x^8
 EXACT_AFTER_A_SKIP = {"(y-x)*(y^2-x^3+x^6)": [inf, 4, 4],
                       "(y-x^2)*(y^3-x^7+x^9)": [inf, 4, 4, 4],
                       "(y^2-x^3)*(y^2-x^3+x^8)": [inf, 4, inf, 4]}
@@ -356,9 +371,11 @@ EXACT_AFTER_A_SKIP = {"(y-x)*(y^2-x^3+x^6)": [inf, 4, 4],
 
 def _differential_corpus(rng):
     """Steep tails and zero roots below a drop, three roots on one edge for
-    the general finder, zero roots past a skip, an exact root x + x^2 cut
-    by a skip two levels up, then branches, their characteristic roots and
-    their jacobians at the verifier's depth."""
+    the general finder, exact zero roots beside a factor with a term past
+    the depth, an exact root x + x^2 cut by a drop two levels up, then
+    branches, their characteristic roots and their jacobians at the
+    verifier's depth, then branches times exact roots y - a*x^p - b*x^q,
+    half of them times y too."""
     cases = [(parse_poly("y^2-x^3+x^100"), 4), (THREE_LINES, 2),
              (parse_poly("(y-x)*(y-x-x^10)"), 2), (parse_poly("y*(y^2-x^3)+x^100"), 4),
              (parse_poly("(y-x)*(y-2*x+x^5)"), 4), (parse_poly("(y-x)*(y-x-x^2)*(y-2*x+x^7)"), 4)]
@@ -368,14 +385,20 @@ def _differential_corpus(rng):
         depth = Fraction(semigroup_to_char(s).exponents[-1], s.multiplicity) + 1
         roots = characteristic_roots(f)
         cases += [(g, depth) for g in (f, *roots, *(jacobian_det(fk, f) for fk in roots))]
+    for _ in range(20):
+        f, _ = random_test_branch(rng, max_degree=6, max_genus=2)
+        p = rng.randint(1, 3)
+        root = (BiPoly.y() - BiPoly.monomial(rng.choice((-2, -1, 1, 2)), p, 0)
+                - BiPoly.monomial(rng.randint(-2, 2), rng.randint(p + 1, 5), 0))
+        g = f * root * BiPoly.y(rng.randint(0, 1))
+        cases.append((g, rng.choice((2, 3, Fraction(7, 2), 4))))
     return cases
 
 
 @pytest.mark.parametrize("bits", [53, 128, 256, 512])
 def test_expansion_matches_the_fraction_expander(rng, bits):
-    # the reference builds every term and rotates conjugates by its own
-    # Fraction exponents, so bit identity shows that neither the skip nor
-    # the integer exponents change anything
+    # the reference rotates conjugates by its own Fraction exponents, so
+    # bit identity shows that the integer exponents change nothing
     for g, depth in _differential_corpus(rng):
         expected = _bits_of(expand_by_fractions(g, depth, bits))
         assert _bits_of(puiseux_expand(g, depth, min_bits=bits)) == expected, (str(g), depth)
