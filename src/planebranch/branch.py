@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, inf, prod
 
 from . import poly
-from ._value import Value, _is_int
+from ._value import Value, _fill, _is_int
 from .errors import ValidationError, _digit_limit
 from .poly import (BiPoly, _clear_denominators, _expansion_intersection, _one_edge, _raw,
                    _y_rows, _z_mul)
@@ -111,7 +111,9 @@ class CharSequence(_GcdChain):
             if cur <= prev:
                 with _digit_limit():
                     raise ValidationError(f"exponents must increase strictly: {prev} !< {cur}")
-        self._set(exponents=exponents, gcds=chain, n_factors=n)
+        _fill(self, "exponents", exponents)
+        _fill(self, "gcds", chain)
+        _fill(self, "n_factors", n)
 
     def _key(self):
         return self.exponents
@@ -148,7 +150,9 @@ class Semigroup(_GcdChain):
                 with _digit_limit():
                     raise ValidationError(f"generator {generators[q + 1]} must exceed "
                                           f"{n[q - 1]} * {generators[q]}")
-        self._set(generators=generators, gcds=chain, n_factors=n)
+        _fill(self, "generators", generators)
+        _fill(self, "gcds", chain)
+        _fill(self, "n_factors", n)
 
     def milnor(self) -> int:
         """Milnor number, which for a branch equals the conductor."""

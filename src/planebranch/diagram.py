@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, inf, lcm
 
-from ._value import Value, _num_to_json, _rational
+from ._value import Value, _fill, _num_to_json, _rational
 from .errors import ValidationError, _digit_limit
 from .poly import BiPoly
 
@@ -71,7 +71,17 @@ class ElementarySegment(Value):
         height = _side(height, "segment height")
         if isinstance(length, float) and isinstance(height, float):
             raise ValidationError("segment cannot be infinite in both directions")
-        self._set(length=length, height=height)
+        _fill(self, "length", length)
+        _fill(self, "height", height)
+
+    @classmethod
+    def _of(cls, length, height) -> "ElementarySegment":
+        """The segment of two sides already stored by the rule: positive and
+        finite, each an int or a Fraction that is not integral."""
+        segment = object.__new__(cls)
+        _fill(segment, "length", length)
+        _fill(segment, "height", height)
+        return segment
 
     @property
     def inclination(self):
@@ -186,13 +196,15 @@ class NewtonDiagram(Value):
                 sy = _exact(sy + seg.height)
             else:
                 finite.append(seg)
-        self._set(shift=(sx, sy), segments=_normal_form(finite))
+        _fill(self, "shift", (sx, sy))
+        _fill(self, "segments", _normal_form(finite))
 
     @classmethod
     def _of(cls, finite, x, y) -> "NewtonDiagram":
         """The diagram of a list of checked finite segments and a shift (x, y)."""
         diagram = object.__new__(cls)
-        diagram._set(shift=(_exact(x), _exact(y)), segments=_normal_form(finite))
+        _fill(diagram, "shift", (_exact(x), _exact(y)))
+        _fill(diagram, "segments", _normal_form(finite))
         return diagram
 
     # -- inspection -----------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._value import Value, _is_int
+from ._value import Value, _fill, _is_int
 from .branch import Semigroup
 from .diagram import ElementarySegment, NewtonDiagram
 from .errors import ValidationError, _digit_limit
@@ -90,7 +90,8 @@ class JndFamily(Value):
                 f"family of a genus {semigroup.genus} branch needs "
                 f"{semigroup.genus} diagrams, got {len(diagrams)}"
             )
-        self._set(semigroup=semigroup, diagrams=diagrams)
+        _fill(self, "semigroup", semigroup)
+        _fill(self, "diagrams", diagrams)
 
     def __len__(self):
         return len(self.diagrams)
@@ -131,6 +132,9 @@ def jnd_family(s: Semigroup) -> JndFamily:
     all of contact below the next characteristic value; each deeper index
     i = k+2..g adds {(n_i - 1) v_i \\ (n_i - 1) v_(k+1)/l_(i-1)}, integral as
     l_(i-1) divides v_(k+1).  At k = -1 the tail is Merle's polar diagram.
+
+    Each side is a sum or product of a checked Semigroup's positive ints and
+    the loop makes s.genus members, so no value built here is checked again.
     """
     _check_semigroup(s)
     v, l, n = s.generators, s.gcds, s.n_factors
@@ -139,11 +143,14 @@ def jnd_family(s: Semigroup) -> JndFamily:
     for k in range(s.genus):
         lead = w // l[k] + v[k + 1] // l[k + 1]
         diagrams.append(NewtonDiagram._of(
-            [ElementarySegment(l[k] * lead, lead)]
-            + [ElementarySegment((n[i - 1] - 1) * v[i], (n[i - 1] - 1) * (v[k + 1] // l[i - 1]))
+            [ElementarySegment._of(l[k] * lead, lead)]
+            + [ElementarySegment._of((n[i - 1] - 1) * v[i], (n[i - 1] - 1) * (v[k + 1] // l[i - 1]))
                for i in range(k + 2, s.genus + 1)], 0, 0))
         w += (n[k] - 1) * v[k + 1]
-    return JndFamily(s, diagrams)
+    family = object.__new__(JndFamily)
+    _fill(family, "semigroup", s)
+    _fill(family, "diagrams", tuple(diagrams))
+    return family
 
 
 def family_from_json_dict(data):
@@ -196,7 +203,8 @@ class RecoveryData(Value):
     __slots__ = ("semigroup", "readings")
 
     def __init__(self, semigroup: Semigroup, readings):
-        self._set(semigroup=semigroup, readings=tuple(readings))
+        _fill(self, "semigroup", semigroup)
+        _fill(self, "readings", tuple(readings))
 
     def _key(self):
         return self.semigroup, self.readings

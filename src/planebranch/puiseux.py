@@ -20,7 +20,7 @@ from contextlib import nullcontext
 from fractions import Fraction
 from math import comb, factorial, frexp, gcd, inf, lcm, ldexp, pi
 
-from ._value import Value, _is_int, _rational
+from ._value import Value, _fill, _is_int, _rational
 from .branch import (
     _am_iteration,
     approximate_root_semigroup,
@@ -166,8 +166,11 @@ class PuiseuxSeries(Value):
         terms = tuple(sorted([(_rational(e, "series exponents", "rational"), c) for e, c in terms],
                              key=lambda t: t[0]))
         den = lcm(1, *(e.denominator for e, _ in terms))
-        self._set(terms=terms, truncation=truncation, context=context, _den=den,
-                  _nums=tuple([e.numerator * (den // e.denominator) for e, _ in terms]))
+        _fill(self, "terms", terms)
+        _fill(self, "truncation", truncation)
+        _fill(self, "context", context)
+        _fill(self, "_den", den)
+        _fill(self, "_nums", tuple([e.numerator * (den // e.denominator) for e, _ in terms]))
 
     @classmethod
     def _of_tail(cls, den, tail, truncation, context):
@@ -176,8 +179,11 @@ class PuiseuxSeries(Value):
         # is resized into place, and the tuple free lists then keep growing
         terms = tuple([(Fraction(n, den), c) for n, c in tail])
         self = cls.__new__(cls)
-        self._set(terms=terms, truncation=truncation, context=context, _den=den,
-                  _nums=tuple([n for n, _ in tail]))
+        _fill(self, "terms", terms)
+        _fill(self, "truncation", truncation)
+        _fill(self, "context", context)
+        _fill(self, "_den", den)
+        _fill(self, "_nums", tuple([n for n, _ in tail]))
         return self
 
     def _key(self):
@@ -698,8 +704,13 @@ class ContactClass(Value):
     )
 
     def __init__(self, index, contact_value, roots, x_power, f_int, fk_int):
-        self._set(index=index, contact=contact_value, roots=tuple(roots), x_power=x_power,
-                  f_intersection=f_int, fk_intersection=fk_int, x_intersection=len(roots))
+        _fill(self, "index", index)
+        _fill(self, "contact", contact_value)
+        _fill(self, "roots", tuple(roots))
+        _fill(self, "x_power", x_power)
+        _fill(self, "f_intersection", f_int)
+        _fill(self, "fk_intersection", fk_int)
+        _fill(self, "x_intersection", len(roots))
 
     def _key(self):
         return (self.index, self.contact, self.roots, self.x_power,

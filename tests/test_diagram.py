@@ -310,7 +310,9 @@ def test_json_rejects_garbage():
         NewtonDiagram.from_json_dict({"shift": [0, 0], "segments": [["4/0", 2]]})
     with pytest.raises(ValidationError):
         NewtonDiagram.from_json_dict([])
-    for value in (4.5, True, None, "abc", [4]):
+    # a rational string is ASCII digits with an optional minus and
+    # "/denominator", on every Python version
+    for value in (4.5, True, None, "abc", [4], "1_3", "\u0661\u0663", " 13 ", "1.3e1", "13.0"):
         with pytest.raises(ValidationError, match="segment height"):
             NewtonDiagram.from_json_dict({"segments": [[4, value]]})
         with pytest.raises(ValidationError, match="diagram shift"):

@@ -26,6 +26,7 @@ from planebranch import (
 )
 import planebranch.cli as cli
 import planebranch.jacobian as jacobian
+from planebranch.fixtures import COLLIDING_PAIRS
 
 E = ElementarySegment
 D = NewtonDiagram
@@ -352,6 +353,25 @@ def test_family_is_one_loop(monkeypatch):
     fam = jnd_family(Semigroup(gens))
     assert [[(seg.length, seg.height) for seg in d.segments] for d in fam] == [
         jnd_by_fractions(gens, k) for k in range(4)]
+
+
+def test_the_unchecked_family_equals_the_checked_one():
+    # jnd_family builds its segments and its family with no check; every
+    # member rebuilt through the public constructors is the same value
+    rng = random.Random(37)
+    semigroups = [random_semigroup(rng, max_genus=5, max_generator=10**4, genus=1 + i % 5)
+                  for i in range(1000)]
+    semigroups += [s for pair in COLLIDING_PAIRS for s in pair]
+    for s in semigroups:
+        fam = jnd_family(s)
+        for d in fam:
+            twin = NewtonDiagram.from_json_dict(d.to_json_dict())
+            assert twin == d and hash(twin) == hash(d)
+            assert type(d.shift[0]) is int and type(d.shift[1]) is int
+            assert all(type(seg.length) is int and type(seg.height) is int
+                       for seg in d.segments)
+        assert JndFamily(s, fam.diagrams) == fam
+        assert hash(JndFamily(s, fam.diagrams)) == hash(fam)
 
 
 def test_malformed_family_arguments_are_typed_errors():

@@ -1051,8 +1051,10 @@ _RATIONAL_ARGUMENTS = {
 
 
 @pytest.mark.parametrize(
-    "bad", ["abc", float("inf"), float("nan"), 0.1, 2.0, True, [2]],
-    ids=["abc", "inf", "nan", "0.1", "2.0", "True", "list"],
+    "bad", ["abc", float("inf"), float("nan"), 0.1, 2.0, True, [2],
+            "1_3", "\u0661\u0663", " 13 ", "1.3e1", "13.0"],
+    ids=["abc", "inf", "nan", "0.1", "2.0", "True", "list",
+         "underscore", "arabic-indic", "spaces", "exponent", "decimal"],
 )
 def test_rational_arguments_reject_floats_bools_and_junk(bad):
     for name, call in _RATIONAL_ARGUMENTS.items():

@@ -16,6 +16,7 @@ from planebranch import (
     PuiseuxSeries,
     RecoveryData,
     Semigroup,
+    jnd_family,
     jnd_formula,
 )
 
@@ -76,10 +77,18 @@ VALUES = {
 
 CLASSES = list(VALUES)
 
+#: each class's fixture, then the values that jnd_family builds with no check
+SWEPT = {cls.__name__: VALUES[cls][0] for cls in CLASSES} | {
+    "formula family": lambda: jnd_family(S),
+    "formula diagram": lambda: jnd_family(S)[0],
+    "formula segment": lambda: jnd_family(S)[0].segments[1],
+}
 
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
-def test_values_are_immutable(cls):
-    value = VALUES[cls][0]()
+
+@pytest.mark.parametrize("make", SWEPT.values(), ids=list(SWEPT))
+def test_values_are_immutable(make):
+    value = make()
+    cls = type(value)
     message = f"^{cls.__name__} is immutable$"
     # every class of the MRO, so inherited slots such as gcds are swept too
     slots = [name for base in cls.__mro__ for name in getattr(base, "__slots__", ())]
@@ -102,9 +111,10 @@ def test_equal_values_compare_and_hash_alike(cls):
     assert a != object() and a != None  # noqa: E711
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
-def test_values_copy_and_pickle(cls):
-    value = VALUES[cls][0]()
+@pytest.mark.parametrize("make", SWEPT.values(), ids=list(SWEPT))
+def test_values_copy_and_pickle(make):
+    value = make()
+    cls = type(value)
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is cls
         assert twin == value and hash(twin) == hash(value)
